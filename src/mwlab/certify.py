@@ -30,8 +30,9 @@ from . import auxmetric
 from .cubature import (Cube, CubeFamily, adaptive_integrate,
                        khachiyan_mvee_centered)
 from .errors import ConfigError, Degenerate, DomainError, SingularSample
+from .ineqlab import _to_jsonable
 from .weights import (MatrixWeight, cube_even_moments, inv_psd, sqrt_psd,
-                      sqrt_psd_many, symmetrize, TOL_EIG)
+                      symmetrize, TOL_EIG)
 
 CERT_TOL = 1e-4          # quadrature tolerance inside certifier sweeps
 CERT_MAX_LEVEL = 5       # refinement cap for certifier quadrature
@@ -60,20 +61,8 @@ class CertReport:
             "witness": self.witness,
             "passed": bool(self.passed),
             "mode": self.mode,
-            "details": _jsonable(self.details),
+            "details": _to_jsonable(self.details),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +183,6 @@ class _DetRootWeight(MatrixWeight):
 
     def to_config(self):
         return {"kind": "det_root", "n": self.n, "d": 1, "base": self.base.to_config()}
-
-
-@dataclass(frozen=True)
-class _MatrixPowerWeight(MatrixWeight):
-    """V^p through the eigendecomposition, for the determinant certifiers."""
-
-    base: MatrixWeight
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.base.n)
-        object.__setattr__(self, "d", self.base.d)
-
-    @property
-    def singular_at_origin(self):
-        return self.base.singular_at_origin
-
-    def eval_many(self, X):
-        w, v = np.linalg.eigh(self.base.eval_many(X))
-        w = np.clip(w, 0.0, None) ** self.p
-        return np.einsum("mik,mk,mjk->mij", v, w, v)
-
-    def to_config(self):
-        return {"kind": "matrix_power", "p": self.p, "n": self.n, "d": self.d,
-                "base": self.base.to_config()}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +402,7 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
     B = inv_psd(integ)
 
     def fn(X):
-        roots = sqrt_psd_many(W.eval_many(X))
+        roots = sqrt_psd(W.eval_many(X))
         return np.einsum("mij,jk,mkl->mil", roots, B, roots)
 
     total, _ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
@@ -450,8 +414,7 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep(kind: str, per_cube: Callable[[Cube], float], family: CubeFamily,
-           reduce_max: bool = True):
+def _sweep(per_cube: Callable[[Cube], float], family: CubeFamily, reduce_max: bool = True):
     cubes = family.cubes()
     vals = [per_cube(c) for c in cubes]
     arr = np.asarray(vals, dtype=float)
@@ -473,7 +436,7 @@ def bp_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
         witness_dir[c.key()] = e
         return val
 
-    est, worst, vals = _sweep("bp", per_cube, family)
+    est, worst, vals = _sweep(per_cube, family)
     report = CertReport(
         class_name="bp", constant_estimate=est, family=family.to_config(),
         witness={"center": worst.center.tolist(), "r": worst.r,
@@ -493,7 +456,7 @@ def bp_det_check(W: MatrixWeight, p: float, family: CubeFamily, *,
     def per_cube(c: Cube) -> float:
         return _bp_det_cube(W, p, c, tol, seed)
 
-    est, worst, vals = _sweep("bp-det", per_cube, family)
+    est, worst, vals = _sweep(per_cube, family)
     report = CertReport(
         class_name="bp-det", constant_estimate=est, family=family.to_config(),
         witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
@@ -514,7 +477,7 @@ def nd_check(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL) -> C
         records.append((lam, floor))
         return lam
 
-    est, worst, vals = _sweep("nd", per_cube, family, reduce_max=False)
+    est, worst, vals = _sweep(per_cube, family, reduce_max=False)
     passed = all(lam > floor for lam, floor in records)
     return CertReport(
         class_name="nd", constant_estimate=est, family=family.to_config(),
@@ -562,7 +525,7 @@ def a2inf_constant(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL
     def per_cube(c: Cube) -> float:
         return _a2inf_cube(W, c, tol)
 
-    est, worst, vals = _sweep("a2inf", per_cube, family)
+    est, worst, vals = _sweep(per_cube, family)
     report = CertReport(
         class_name="a2inf", constant_estimate=est, family=family.to_config(),
         witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
@@ -580,7 +543,7 @@ def apinf_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
     def per_cube(c: Cube) -> float:
         return _apinf_cube(W, p, c, tol, seed)
 
-    est, worst, vals = _sweep("apinf", per_cube, family)
+    est, worst, vals = _sweep(per_cube, family)
     report = CertReport(
         class_name="apinf", constant_estimate=est, family=family.to_config(),
         witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
@@ -598,7 +561,7 @@ def rbm_constant(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL,
     def per_cube(c: Cube) -> float:
         return _rbm_cube(W, c, tol)
 
-    est, worst, vals = _sweep("rbm", per_cube, family)
+    est, worst, vals = _sweep(per_cube, family)
     report = CertReport(
         class_name="rbm", constant_estimate=est, family=family.to_config(),
         witness={"center": worst.center.tolist(), "r": worst.r, "value": est},

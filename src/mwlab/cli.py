@@ -4,30 +4,27 @@ Every run writes a deterministic bundle into --out: report.json + report.csv
 (long format), any binary fields, and a sha256 manifest.  Exit codes: 0 on
 success, 2 on configuration errors, 3 on numerical failures (the message
 names the operation and the offending input).
+
+Each subcommand is one ``STAGES`` entry: a ``(cfg, bundle)`` function, whose
+docstring is its help, registered by ``@stage`` with its flags; a flag's
+argparse ``dest`` names the config field it sets.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import auxmetric, certify, cubature, ineqlab, pde, weights
-from .errors import (BracketFailure, ConfigError, Degenerate, DomainError,
-                     EllipticityViolation, InsufficientSamples, NoConvergence,
-                     NotPSD, QuadratureNonConvergence, SingularSample)
-
-NUMERICAL_ERRORS = (BracketFailure, Degenerate, DomainError, EllipticityViolation,
-                    InsufficientSamples, NoConvergence, NotPSD,
-                    QuadratureNonConvergence, SingularSample)
+from .errors import ConfigError, InsufficientSamples, MWLabError
 
 BUILTIN_WEIGHTS = {
     "identity": {"kind": "constant", "n": 3, "d": 2, "mat": [[1.0, 0.0], [0.0, 1.0]]},
@@ -43,7 +40,7 @@ BUILTIN_WEIGHTS = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """Resolved configuration of one run; embedded verbatim in every output."""
 
@@ -51,46 +48,32 @@ class ExperimentConfig:
     weight: Optional[dict] = None
     family: Optional[dict] = None
     grid: Optional[dict] = None
-    quad: dict = dc_field(default_factory=lambda: {"tol": 1e-6, "max_level": 7})
     seed: int = 1
     out: str = "out"
-    threads: int = 1
-    params: dict = dc_field(default_factory=dict)
+    params: dict = dataclasses.field(default_factory=dict)
 
-    def to_jsonable(self) -> dict:
-        return {"subcommand": self.subcommand, "weight": self.weight,
-                "family": self.family, "grid": self.grid, "quad": self.quad,
-                "seed": self.seed, "out": self.out, "threads": self.threads,
-                "params": self.params}
-
-
-def load_weight(spec: str) -> weights.MatrixWeight:
-    if spec in BUILTIN_WEIGHTS:
-        return weights.from_config(BUILTIN_WEIGHTS[spec])
-    if not os.path.exists(spec):
-        raise ConfigError(f"weight descriptor {spec!r} is neither a builtin "
-                          f"({', '.join(sorted(BUILTIN_WEIGHTS))}) nor a file")
-    with open(spec, encoding="utf-8") as fh:
-        return weights.from_config(json.load(fh))
+    @property
+    def weight_name(self) -> str:
+        return self.weight.get("kind", "weight")
 
 
 def _weight_cfg(spec: str) -> dict:
     if spec in BUILTIN_WEIGHTS:
         return BUILTIN_WEIGHTS[spec]
+    if not os.path.exists(spec):
+        raise ConfigError(f"weight descriptor {spec!r} is neither a builtin "
+                          f"({', '.join(sorted(BUILTIN_WEIGHTS))}) nor a file")
     with open(spec, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def load_family(spec: Optional[str], default: Optional[dict] = None) -> cubature.CubeFamily:
-    if spec is None:
-        cfg = default or {"generator": "dyadic", "box": 8.0, "count": 16,
-                          "r_min": 0.5, "r_max": 4.0}
-        return cubature.CubeFamily(**cfg)
+def load_family(spec: str) -> cubature.CubeFamily:
+    text = spec
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
-            return cubature.CubeFamily.from_config(json.load(fh))
+            text = fh.read()
     try:
-        return cubature.CubeFamily.from_config(json.loads(spec))
+        return cubature.CubeFamily.from_config(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"family spec {spec!r} is neither a file nor inline JSON") from exc
 
@@ -98,388 +81,378 @@ def load_family(spec: Optional[str], default: Optional[dict] = None) -> cubature
 def write_manifest(out_dir: str, paths: list) -> str:
     lines = []
     for p in sorted(paths):
-        h = hashlib.sha256()
         with open(p, "rb") as fh:
-            h.update(fh.read())
-        lines.append(f"{h.hexdigest()}  {os.path.basename(p)}")
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {os.path.basename(p)}")
     mpath = os.path.join(out_dir, "manifest.txt")
     with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return mpath
 
 
-def _finish(report: ineqlab.Report, cfg: ExperimentConfig, extra_paths=()) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    paths = report.write(cfg.out) + list(extra_paths)
-    write_manifest(cfg.out, paths)
-    return 0
+class Bundle(ineqlab.Report):
+    """The report of one run plus the artifact files saved next to it."""
+
+    def __init__(self, out: str):
+        super().__init__(config={})
+        self.out = out
+        self.artifacts: list = []
+
+    def save(self, name: str, saver: Callable, obj) -> None:
+        path = os.path.join(self.out, name)
+        saver(path, obj)
+        self.artifacts.append(path)
+
+    def add_samples(self, experiment: str, weight: str, quantity: str,
+                    grid: auxmetric.BoxGrid, values: np.ndarray) -> None:
+        """Rows for about 64 evenly strided nodes of a box-grid field."""
+        nodes = grid.nodes()
+        for i in range(0, grid.size, max(1, grid.size // 64)):
+            self.add_row(experiment, weight, quantity, nodes[i], values[i])
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners
-# ---------------------------------------------------------------------------
+STAGES: dict = {}   # subcommand -> stage function (cfg, bundle) -> None
 
-def run_certify(cfg: ExperimentConfig) -> int:
+
+def stage(name: str, *flags: tuple) -> Callable:
+    """Register the decorated function as subcommand ``name`` with its flags."""
+    def register(fn: Callable) -> Callable:
+        fn.flags = flags
+        STAGES[name] = fn
+        return fn
+    return register
+
+
+def _list(kind: type) -> Callable:
+    return lambda text: [kind(v) for v in text.split(",")]
+
+
+def _grid(default: str, keys: str) -> tuple:
+    """``--grid`` as comma-separated values of ``keys`` ("L,m" or "N,L")."""
+    types = {"L": float, "m": int, "N": int}
+    return "--grid", dict(default=default, help=keys, type=lambda text: {
+        k: types[k](v) for k, v in zip(keys.split(","), text.split(","))})
+
+
+COMMON_FLAGS = (
+    ("--weight", dict(type=_weight_cfg, default="identity",
+                      help="builtin name or weight-descriptor JSON file")),
+    ("--out", dict(default="out")),
+    ("--seed", dict(type=int, default=1)),
+)
+P_FLAG = ("--p", dict(dest="params.p", type=float, default=2.0))
+KIND_FLAG = ("--kind", dict(dest="params.kind", default="lower", choices=["lower", "upper"]))
+POLE_HELP = "i,j,k (defaults to the grid center)"
+POLE_FLAG = ("--pole", dict(dest="params.pole", type=_list(int), help=POLE_HELP))
+
+
+@stage("certify",
+       ("--class", dict(dest="params.class", required=True,
+                        choices=["bp", "bp-det", "nd", "ainf", "a2inf", "apinf", "nc",
+                                 "rbm", "cross"])),
+       P_FLAG,
+       ("--family", dict(type=lambda spec: load_family(spec).to_config(),
+                         help="cube-family JSON (file or inline)")))
+def stage_certify(cfg: ExperimentConfig, out: Bundle) -> None:
+    """run a class certifier over a cube family"""
     W = weights.from_config(cfg.weight)
-    fam = cubature.CubeFamily.from_config(cfg.family)
-    cls = cfg.params["class"]
+    fam = cubature.CubeFamily(**cfg.family) if cfg.family else cubature.CubeFamily(count=16)
+    cfg.family = fam.to_config()
+    cls = cfg.params.get("class")
     p = float(cfg.params.get("p", 2.0))
-    report = ineqlab.Report(cfg.to_jsonable())
-    wname = cfg.weight.get("kind", "weight")
+    wname = cfg.weight_name
     if cls == "cross":
         res = certify.cross_checks(W, p, fam, seed=cfg.seed)
-        report.add_result("cross", res)
+        out.add_result("cross", res)
         for name, rep in res["reports"].items():
             if rep is not None:
-                report.add_row("certify", wname, f"{name}_estimate", "-",
-                               rep["constant_estimate"])
-                report.add_row("certify", wname, f"{name}_passed", "-",
-                               float(rep["passed"]))
-        report.add_result("disagreements", res["disagreements"])
-    else:
-        runner = {
-            "bp": lambda: certify.bp_constant(W, p, fam, seed=cfg.seed, stability=True),
-            "bp-det": lambda: certify.bp_det_check(W, p, fam, seed=cfg.seed, stability=True),
-            "nd": lambda: certify.nd_check(W, fam),
-            "ainf": lambda: certify.ainf_profile(W, cfg.params.get("eps", (0.1, 0.25, 0.5)),
-                                                 fam, seed=cfg.seed, stability=True),
-            "a2inf": lambda: certify.a2inf_constant(W, fam, stability=True),
-            "apinf": lambda: certify.apinf_constant(W, p, fam, seed=cfg.seed, stability=True),
-            "nc": lambda: certify.nc_constant(
-                W, cfg.params.get("centers") or [c.center for c in fam.cubes()[:4]]),
-            "rbm": lambda: certify.rbm_constant(W, fam, stability=True),
-        }.get(cls)
-        if runner is None:
-            raise ConfigError(f"unknown certifier class {cls!r}")
-        rep = runner()
-        report.add_result(cls, rep.to_jsonable())
-        per_cube = rep.details.get("per_cube", [])
-        cubes = fam.cubes() if len(per_cube) == len(fam.cubes()) else None
-        for i, v in enumerate(per_cube):
-            where = list(cubes[i].center) + [cubes[i].r] if cubes else i
-            report.add_row("certify", wname, f"{cls}_per_cube", where, v)
-        report.add_row("certify", wname, f"{cls}_estimate", "-", rep.constant_estimate)
-        report.add_row("certify", wname, f"{cls}_passed", "-", float(rep.passed))
-    return _finish(report, cfg)
+                out.add_row("certify", wname, f"{name}_estimate", "-",
+                            rep["constant_estimate"])
+                out.add_row("certify", wname, f"{name}_passed", "-", float(rep["passed"]))
+        out.add_result("disagreements", res["disagreements"])
+        return
+    runner = {
+        "bp": lambda: certify.bp_constant(W, p, fam, seed=cfg.seed, stability=True),
+        "bp-det": lambda: certify.bp_det_check(W, p, fam, seed=cfg.seed, stability=True),
+        "nd": lambda: certify.nd_check(W, fam),
+        "ainf": lambda: certify.ainf_profile(W, cfg.params.get("eps", (0.1, 0.25, 0.5)),
+                                             fam, seed=cfg.seed, stability=True),
+        "a2inf": lambda: certify.a2inf_constant(W, fam, stability=True),
+        "apinf": lambda: certify.apinf_constant(W, p, fam, seed=cfg.seed, stability=True),
+        "nc": lambda: certify.nc_constant(
+            W, cfg.params.get("centers") or [c.center for c in fam.cubes()[:4]]),
+        "rbm": lambda: certify.rbm_constant(W, fam, stability=True),
+    }.get(cls)
+    if runner is None:
+        raise ConfigError(f"unknown certifier class {cls!r}")
+    rep = runner()
+    out.add_result(cls, rep.to_jsonable())
+    per_cube = rep.details.get("per_cube", [])
+    cubes = fam.cubes() if len(per_cube) == len(fam.cubes()) else None
+    for i, v in enumerate(per_cube):
+        where = list(cubes[i].center) + [cubes[i].r] if cubes else i
+        out.add_row("certify", wname, f"{cls}_per_cube", where, v)
+    out.add_row("certify", wname, f"{cls}_estimate", "-", rep.constant_estimate)
+    out.add_row("certify", wname, f"{cls}_passed", "-", float(rep.passed))
 
 
-def _boxgrid_from_cfg(cfg: ExperimentConfig) -> auxmetric.BoxGrid:
+def _boxgrid(cfg: ExperimentConfig) -> auxmetric.BoxGrid:
     g = cfg.grid or {}
     return auxmetric.BoxGrid(L=float(g.get("L", 2.0)), m=int(g.get("m", 12)))
 
 
-def run_aux(cfg: ExperimentConfig) -> int:
-    W = weights.from_config(cfg.weight)
-    grid = _boxgrid_from_cfg(cfg)
-    kind = cfg.params.get("kind", "lower")
-    fld = auxmetric.aux_field(W, grid, kind=kind)
-    report = ineqlab.Report(cfg.to_jsonable())
-    report.add_result("kind", kind)
-    report.add_result("min", float(fld.values.min()))
-    report.add_result("max", float(fld.values.max()))
-    os.makedirs(cfg.out, exist_ok=True)
-    bpath = os.path.join(cfg.out, f"aux_{kind}.field")
-    auxmetric.save_field_binary(bpath, fld)
-    cpath = os.path.join(cfg.out, f"aux_{kind}.csv")
-    auxmetric.field_to_csv(cpath, fld)
-    nodes = grid.nodes()
-    for i in range(0, grid.size, max(1, grid.size // 64)):
-        report.add_row("aux", cfg.weight.get("kind", "weight"), f"m_{kind}",
-                       nodes[i], fld.values[i])
-    return _finish(report, cfg, [bpath, cpath])
-
-
-def run_agmon(cfg: ExperimentConfig) -> int:
-    W = weights.from_config(cfg.weight)
-    grid = _boxgrid_from_cfg(cfg)
-    kind = cfg.params.get("kind", "lower")
-    norm = cfg.params.get("norm", "linf")
-    src = cfg.params.get("source") or [grid.m // 2] * grid.n
-    fld = auxmetric.aux_field(W, grid, kind=kind)
-    dist = auxmetric.agmon_field(fld, tuple(int(s) for s in src), norm=norm)
-    report = ineqlab.Report(cfg.to_jsonable())
-    report.add_result("kind", kind)
-    report.add_result("norm", norm)
-    report.add_result("max_distance", float(dist.values.max()))
-    os.makedirs(cfg.out, exist_ok=True)
-    bpath = os.path.join(cfg.out, f"agmon_{kind}.field")
-    auxmetric.save_field_binary(bpath, auxmetric.AuxField(
-        grid=grid, values=np.maximum(dist.values, 1e-300), kind=f"d_{kind}"))
-    nodes = grid.nodes()
-    for i in range(0, grid.size, max(1, grid.size // 64)):
-        report.add_row("agmon", cfg.weight.get("kind", "weight"), f"d_{kind}",
-                       nodes[i], dist.values[i])
-    return _finish(report, cfg, [bpath])
-
-
-def _grid3_from_cfg(cfg: ExperimentConfig) -> pde.Grid3:
+def _grid3(cfg: ExperimentConfig) -> pde.Grid3:
     g = cfg.grid or {}
     return pde.Grid3(L=float(g.get("L", 2.0)), N=int(g.get("N", 13)))
 
 
-def run_green(cfg: ExperimentConfig) -> int:
-    W = weights.from_config(cfg.weight)
-    grid = _grid3_from_cfg(cfg)
+@stage("aux", _grid("2.0,12", "L,m"), KIND_FLAG)
+def stage_aux(cfg: ExperimentConfig, out: Bundle) -> None:
+    """sample an auxiliary function on a box grid"""
+    grid = _boxgrid(cfg)
+    kind = cfg.params.get("kind", "lower")
+    fld = auxmetric.aux_field(weights.from_config(cfg.weight), grid, kind=kind)
+    out.add_result("kind", kind)
+    out.add_result("min", float(fld.values.min()))
+    out.add_result("max", float(fld.values.max()))
+    out.save(f"aux_{kind}.field", auxmetric.save_field_binary, fld)
+    out.save(f"aux_{kind}.csv", auxmetric.field_to_csv, fld)
+    out.add_samples("aux", cfg.weight_name, f"m_{kind}", grid, fld.values)
+
+
+@stage("agmon", _grid("2.0,12", "L,m"), KIND_FLAG,
+       ("--source", dict(dest="params.source", type=_list(int), help=POLE_HELP)),
+       ("--norm", dict(dest="params.norm", default="linf", choices=["linf", "l2"])))
+def stage_agmon(cfg: ExperimentConfig, out: Bundle) -> None:
+    """geodesic distance field of an auxiliary function"""
+    grid = _boxgrid(cfg)
+    kind = cfg.params.get("kind", "lower")
+    norm = cfg.params.get("norm", "linf")
+    src = cfg.params.get("source") or [grid.m // 2] * grid.n
+    fld = auxmetric.aux_field(weights.from_config(cfg.weight), grid, kind=kind)
+    dist = auxmetric.agmon_field(fld, tuple(int(s) for s in src), norm=norm)
+    out.add_result("kind", kind)
+    out.add_result("norm", norm)
+    out.add_result("max_distance", float(dist.values.max()))
+    out.save(f"agmon_{kind}.field", auxmetric.save_field_binary, auxmetric.AuxField(
+        grid=grid, values=np.maximum(dist.values, 1e-300), kind=f"d_{kind}"))
+    out.add_samples("agmon", cfg.weight_name, f"d_{kind}", grid, dist.values)
+
+
+@stage("green", _grid("13,2.0", "N,L"), POLE_FLAG)
+def stage_green(cfg: ExperimentConfig, out: Bundle) -> None:
+    """fundamental-matrix block at one pole"""
+    grid = _grid3(cfg)
     pole = tuple(int(v) for v in cfg.params.get("pole") or [grid.N // 2] * 3)
-    op = pde.assemble(W, None, grid)
-    solver = pde.DirectSolver(op) if grid.N <= 20 else None
-    gf = pde.green_field(op, pole, solver=solver)
-    report = ineqlab.Report(cfg.to_jsonable())
-    report.add_result("pole", list(pole))
-    report.add_result("residual", gf.residual)
-    os.makedirs(cfg.out, exist_ok=True)
-    bpath = os.path.join(cfg.out, "green.field")
-    pde.save_green_binary(bpath, gf)
+    op = pde.assemble(weights.from_config(cfg.weight), None, grid)
+    gf = pde.green_field(op, pole, solver=pde.solver_for(op))
+    out.add_result("pole", list(pole))
+    out.add_result("residual", gf.residual)
+    out.save("green.field", pde.save_green_binary, gf)
     # CSV slice: the axis lines through the pole
-    wname = cfg.weight.get("kind", "weight")
     norms = np.linalg.norm(gf.blocks, ord=2, axis=(1, 2))
     for axis in range(3):
         for i in range(grid.N):
-            multi = list(pole)
-            multi[axis] = i
-            idx = grid.index(multi)
-            report.add_row("green", wname, f"norm_axis{axis}", grid.node(idx),
-                           norms[idx])
-    return _finish(report, cfg, [bpath])
+            idx = grid.index(pole[:axis] + (i,) + pole[axis + 1:])
+            out.add_row("green", cfg.weight_name, f"norm_axis{axis}", grid.node(idx),
+                        norms[idx])
 
 
-def run_decay(cfg: ExperimentConfig) -> int:
+@stage("decay", _grid("21,3.0", "N,L"), POLE_FLAG, P_FLAG)
+def stage_decay(cfg: ExperimentConfig, out: Bundle) -> None:
+    """fit decay envelopes of a Green field"""
     W = weights.from_config(cfg.weight)
-    grid = _grid3_from_cfg(cfg)
+    grid = _grid3(cfg)
     pole = tuple(int(v) for v in cfg.params.get("pole") or [grid.N // 2] * 3)
     op_v = pde.assemble(W, None, grid)
     op_0 = pde.assemble(None, None, grid, d=W.d)
-    solver_v = pde.DirectSolver(op_v) if grid.N <= 20 else None
-    solver_0 = pde.DirectSolver(op_0) if grid.N <= 20 else None
-    gv = pde.green_field(op_v, pole, solver=solver_v)
-    g0 = pde.green_field(op_0, pole, solver=solver_0)
-    bgrid = grid.to_boxgrid()
-    fld = auxmetric.aux_field(W, bgrid, kind="lower")
+    gv = pde.green_field(op_v, pole, solver=pde.solver_for(op_v))
+    g0 = pde.green_field(op_0, pole, solver=pde.solver_for(op_0))
+    fld = auxmetric.aux_field(W, grid.to_boxgrid(), kind="lower")
     dist = auxmetric.agmon_field(fld, gv.pole)
     fit = ineqlab.envelope_fit(gv, dist, projector="norm", mode="upper")
-    p = float(cfg.params.get("p", 2.0))
-    q = min(p, 2.9)  # n = 3 exponent window
+    q = min(float(cfg.params.get("p", 2.0)), 2.9)  # n = 3 exponent window
     alpha = 2.0 - 3.0 / q
-    report = ineqlab.Report(cfg.to_jsonable())
-    report.add_result("upper_fit", fit.to_jsonable())
-    wname = cfg.weight.get("kind", "weight")
-    report.add_row("decay", wname, "eps_hat", "-", fit.eps_hat)
-    report.add_row("decay", wname, "r2", "-", fit.r2)
+    out.add_result("upper_fit", fit.to_jsonable())
+    out.add_row("decay", cfg.weight_name, "eps_hat", "-", fit.eps_hat)
+    out.add_row("decay", cfg.weight_name, "r2", "-", fit.r2)
     try:
         diff = ineqlab.difference_bound_fit(gv, g0, W, alpha)
-        report.add_result("difference_fit", diff)
-        report.add_row("decay", wname, "difference_exponent", "-",
-                       diff["fitted_exponent"])
+        out.add_result("difference_fit", diff)
+        out.add_row("decay", cfg.weight_name, "difference_exponent", "-",
+                    diff["fitted_exponent"])
     except InsufficientSamples as exc:
-        report.add_result("difference_fit", f"skipped: {exc}")
-    return _finish(report, cfg)
+        out.add_result("difference_fit", f"skipped: {exc}")
 
 
-def run_fp(cfg: ExperimentConfig) -> int:
+@stage("fp", _grid("2.0,12", "L,m"),
+       ("--form", dict(dest="params.form", default="lower",
+                       choices=["lower", "norm", "upper"])),
+       ("--count", dict(dest="params.count", type=int, default=6)))
+def stage_fp(cfg: ExperimentConfig, out: Bundle) -> None:
+    """Fefferman-Phong-type ratios on a grid"""
     W = weights.from_config(cfg.weight)
-    grid = _boxgrid_from_cfg(cfg)
+    grid = _boxgrid(cfg)
     form = cfg.params.get("form", "lower")
-    count = int(cfg.params.get("count", 6))
-    fields = ineqlab.test_function_library(grid, W.d, count=count, seed=cfg.seed)
-    if form == "lower":
-        aux = auxmetric.aux_field(W, grid, kind="lower")
-    elif form == "upper":
-        aux = auxmetric.aux_field(W, grid, kind="upper")
-    else:
-        aux = auxmetric.aux_field(weights.NormDiagWeight(base=W), grid, kind="lower")
-    report = ineqlab.Report(cfg.to_jsonable())
-    wname = cfg.weight.get("kind", "weight")
+    fields = ineqlab.test_function_library(grid, W.d, count=int(cfg.params.get("count", 6)),
+                                           seed=cfg.seed)
+    aux = ineqlab.fp_aux(W, grid, form)
     ratios = []
     for i, f in enumerate(fields):
-        ratio = ineqlab.fp_ratio(W, f, form, aux=aux)
-        ratios.append(ratio)
-        report.add_row("fp", wname, f"ratio_{form}", i, ratio)
-    report.add_result("ratios", ratios)
-    report.add_result("max_ratio", max(ratios))
-    return _finish(report, cfg)
+        ratios.append(ineqlab.fp_ratio(W, f, form, aux=aux))
+        out.add_row("fp", cfg.weight_name, f"ratio_{form}", i, ratios[-1])
+    out.add_result("ratios", ratios)
+    out.add_result("max_ratio", max(ratios))
 
 
-def run_poincare(cfg: ExperimentConfig) -> int:
+@stage("poincare", ("--cube", dict(dest="params.cube", type=_list(float),
+                                   default="0,0,0,1", help="cx,cy,cz,r")))
+def stage_poincare(cfg: ExperimentConfig, out: Bundle) -> None:
+    """matrix Poincare ratio on a cube"""
     W = weights.from_config(cfg.weight)
     cube_spec = cfg.params.get("cube") or [0.0, 0.0, 0.0, 1.0]
-    Q = cubature.Cube(center=np.asarray(cube_spec[:3], dtype=float),
-                      r=float(cube_spec[3]))
-    report = ineqlab.Report(cfg.to_jsonable())
-    wname = cfg.weight.get("kind", "weight")
+    Q = cubature.Cube(center=np.asarray(cube_spec[:3], dtype=float), r=float(cube_spec[3]))
     ratios = []
     for comp in range(W.d):
         for axis in range(3):
             u = ineqlab.linear_component(axis, comp, W.d)
-            ratio = ineqlab.poincare_ratio(W, Q, u)
-            ratios.append(ratio)
-            report.add_row("poincare", wname, "ratio", u.label, ratio)
-    report.add_result("ratios", ratios)
-    return _finish(report, cfg)
+            ratios.append(ineqlab.poincare_ratio(W, Q, u))
+            out.add_row("poincare", cfg.weight_name, "ratio", u.label, ratios[-1])
+    out.add_result("ratios", ratios)
 
 
-def run_counterexample(cfg: ExperimentConfig) -> int:
+@stage("counterexample",
+       ("--R", dict(dest="params.R", type=_list(float), default="10,20,40,80")))
+def stage_counterexample(cfg: ExperimentConfig, out: Bundle) -> None:
+    """rank-one radial failure experiments"""
     R_list = [float(v) for v in cfg.params.get("R") or (10.0, 20.0, 40.0, 80.0)]
-    report = ineqlab.Report(cfg.to_jsonable())
     res = ineqlab.counterexample_fp_failure(R_list)
     ctrl = ineqlab.counterexample_fp_failure(R_list, control=True)
-    report.add_result("fp_failure", res)
-    report.add_result("fp_control", ctrl)
-    for row in res["rows"]:
-        report.add_row("counterexample", "rank_one_radial", "fp_ratio",
-                       row["R"], row["ratio"])
-    for row in ctrl["rows"]:
-        report.add_row("counterexample", "identity", "fp_ratio",
-                       row["R"], row["ratio"])
-    report.add_row("counterexample", "rank_one_radial", "slope", "-", res["slope"])
-    report.add_row("counterexample", "identity", "slope", "-", ctrl["slope"])
-    return _finish(report, cfg)
+    out.add_result("fp_failure", res)
+    out.add_result("fp_control", ctrl)
+    for wname, r in (("rank_one_radial", res), ("identity", ctrl)):
+        for row in r["rows"]:
+            out.add_row("counterexample", wname, "fp_ratio", row["R"], row["ratio"])
+    out.add_row("counterexample", "rank_one_radial", "slope", "-", res["slope"])
+    out.add_row("counterexample", "identity", "slope", "-", ctrl["slope"])
 
 
-def run_landscape(cfg: ExperimentConfig) -> int:
-    W = weights.from_config(cfg.weight)
-    grid = _grid3_from_cfg(cfg)
+@stage("landscape", _grid("13,2.0", "N,L"),
+       ("--probes", dict(dest="params.n_probes", type=int, default=3)))
+def stage_landscape(cfg: ExperimentConfig, out: Bundle) -> None:
+    """landscape function vs auxiliary comparands"""
+    grid = _grid3(cfg)
     probes = cfg.params.get("probes")
     if probes is None:
         mid = grid.N // 2
-        count = int(cfg.params.get("n_probes", 3))
         offsets = [(0, 0, 0), (-mid // 2, 0, 0), (0, -mid // 2, 0), (0, 0, -mid // 2),
                    (mid // 3, mid // 3, 0), (0, mid // 3, mid // 3),
                    (mid // 3, 0, mid // 3), (-mid // 3, -mid // 3, 0),
                    (0, -mid // 3, -mid // 3), (mid // 2, 0, 0)]
+        count = int(cfg.params.get("n_probes", 3))
         probes = [(mid + a, mid + b, mid + c) for a, b, c in offsets[:count]]
-    op = pde.assemble(W, None, grid)
-    solver = pde.DirectSolver(op) if grid.N <= 20 else None
-    report = ineqlab.Report(cfg.to_jsonable())
-    wname = cfg.weight.get("kind", "weight")
+    op = pde.assemble(weights.from_config(cfg.weight), None, grid)
+    solver = pde.solver_for(op)
     for pr in probes:
         res = pde.landscape(op, tuple(int(v) for v in pr), solver=solver)
-        report.add_result(f"probe_{tuple(pr)}", res)
-        report.add_row("landscape", wname, "u", res["x"], res["u"])
-        report.add_row("landscape", wname, "c_lower", res["x"], res["c_lower"])
-        report.add_row("landscape", wname, "c_upper", res["x"], res["c_upper"])
-    return _finish(report, cfg)
+        out.add_result(f"probe_{tuple(pr)}", res)
+        for quantity in ("u", "c_lower", "c_upper"):
+            out.add_row("landscape", cfg.weight_name, quantity, res["x"], res[quantity])
 
 
-def run_all(cfg: ExperimentConfig) -> int:
-    """The experiment catalog end-to-end, with per-stage wall budgets."""
-    scale = cfg.params.get("scale", "quick")
-    budget = float(cfg.params.get("budget", 30.0)) * 60.0
-    t0 = time.time()
-    report = ineqlab.Report(cfg.to_jsonable())
-    out_paths: list = []
-    os.makedirs(cfg.out, exist_ok=True)
+class _Catalog:
+    """The steps of `all` over shared inputs; each lower aux field is computed once."""
 
-    quick = scale == "quick"
-    fam = cubature.CubeFamily(generator="dyadic", box=4.0, count=8 if quick else 24,
-                              r_min=1.0 if quick else 0.5, r_max=2.0 if quick else 4.0)
-    grid3 = pde.Grid3(L=2.0, N=13 if quick else 27)
-    bgrid = auxmetric.BoxGrid(L=1.5, m=8 if quick else 16)
+    STEPS = ("certify", "aux", "agmon", "green", "resolvent", "fp", "poincare",
+             "counterexample", "landscape")
 
-    catalog = {"identity": weights.from_config(BUILTIN_WEIGHTS["identity"]),
-               "rank_one_radial": weights.from_config(BUILTIN_WEIGHTS["rank-one-radial"]),
-               "diag_poly": weights.from_config(BUILTIN_WEIGHTS["diag-poly"])}
+    def __init__(self, cfg: ExperimentConfig):
+        self.seed = cfg.seed
+        self.quick = quick = cfg.params.get("scale", "quick") == "quick"
+        self.fam = cubature.CubeFamily(generator="dyadic", box=4.0, count=8 if quick else 24,
+                                       r_min=1.0 if quick else 0.5,
+                                       r_max=2.0 if quick else 4.0)
+        self.grid3 = pde.Grid3(L=2.0, N=13 if quick else 27)
+        self.bgrid = auxmetric.BoxGrid(L=1.5, m=8 if quick else 16)
+        self.W = {name.replace("-", "_"): weights.from_config(BUILTIN_WEIGHTS[name])
+                  for name in ("identity", "rank-one-radial", "diag-poly")}
+        self._aux: dict = {}
 
-    def s_certify(rows):
-        for name, W in catalog.items():
-            rep = certify.bp_constant(W, 2.0, fam, seed=cfg.seed)
-            rows.append(("certify", name, "bp_estimate", "-", rep.constant_estimate))
-            nd = certify.nd_check(W, fam)
-            rows.append(("certify", name, "nd_estimate", "-", nd.constant_estimate))
+    def aux_lower(self, name: str) -> auxmetric.AuxField:
+        if name not in self._aux:
+            self._aux[name] = auxmetric.aux_field(self.W[name], self.bgrid, kind="lower")
+        return self._aux[name]
 
-    def s_aux(rows):
+    def certify(self, out: Bundle) -> None:
+        for name, W in self.W.items():
+            rep = certify.bp_constant(W, 2.0, self.fam, seed=self.seed)
+            out.add_row("certify", name, "bp_estimate", "-", rep.constant_estimate)
+            nd = certify.nd_check(W, self.fam)
+            out.add_row("certify", name, "nd_estimate", "-", nd.constant_estimate)
+
+    def aux(self, out: Bundle) -> None:
         for name in ("identity", "diag_poly"):
-            fld = auxmetric.aux_field(catalog[name], bgrid, kind="lower")
-            path = os.path.join(cfg.out, f"aux_{name}.field")
-            auxmetric.save_field_binary(path, fld)
-            out_paths.append(path)
-            rows.append(("aux", name, "m_lower_min", "-", float(fld.values.min())))
-            rows.append(("aux", name, "m_lower_max", "-", float(fld.values.max())))
+            fld = self.aux_lower(name)
+            out.save(f"aux_{name}.field", auxmetric.save_field_binary, fld)
+            out.add_row("aux", name, "m_lower_min", "-", float(fld.values.min()))
+            out.add_row("aux", name, "m_lower_max", "-", float(fld.values.max()))
 
-    def s_agmon(rows):
-        fld = auxmetric.aux_field(catalog["diag_poly"], bgrid, kind="lower")
-        dist = auxmetric.agmon_field(fld, (bgrid.m // 2,) * 3)
-        rows.append(("agmon", "diag_poly", "max_distance", "-",
-                     float(dist.values.max())))
+    def agmon(self, out: Bundle) -> None:
+        dist = auxmetric.agmon_field(self.aux_lower("diag_poly"), (self.bgrid.m // 2,) * 3)
+        out.add_row("agmon", "diag_poly", "max_distance", "-", float(dist.values.max()))
 
-    def s_green(rows):
-        op = pde.assemble(catalog["identity"], None, grid3)
-        gf = pde.green_field(op, (grid3.N // 2,) * 3,
-                             solver=pde.DirectSolver(op) if grid3.N <= 20 else None)
-        path = os.path.join(cfg.out, "green_identity.field")
-        pde.save_green_binary(path, gf)
-        out_paths.append(path)
-        rows.append(("green", "identity", "residual", "-", gf.residual))
+    def green(self, out: Bundle) -> None:
+        op = pde.assemble(self.W["identity"], None, self.grid3)
+        gf = pde.green_field(op, (self.grid3.N // 2,) * 3, solver=pde.solver_for(op))
+        out.save("green_identity.field", pde.save_green_binary, gf)
+        out.add_row("green", "identity", "residual", "-", gf.residual)
 
-    def s_resolvent(rows):
-        err = pde.resolvent_identity_check(catalog["diag_poly"], pde.Grid3(L=2.0, N=13),
+    def resolvent(self, out: Bundle) -> None:
+        err = pde.resolvent_identity_check(self.W["diag_poly"], pde.Grid3(L=2.0, N=13),
                                            (6, 6, 6), x_list=[(3, 3, 3), (9, 8, 7)])
-        rows.append(("resolvent", "diag_poly", "max_rel_error", "-", err))
+        out.add_row("resolvent", "diag_poly", "max_rel_error", "-", err)
 
-    def s_fp(rows):
-        fields = ineqlab.test_function_library(bgrid, 2, count=3, seed=cfg.seed)
-        aux = auxmetric.aux_field(catalog["identity"], bgrid, kind="lower")
+    def fp(self, out: Bundle) -> None:
+        fields = ineqlab.test_function_library(self.bgrid, 2, count=3, seed=self.seed)
+        aux = self.aux_lower("identity")
         for i, f in enumerate(fields):
-            rows.append(("fp", "identity", "ratio_lower", i,
-                         ineqlab.fp_ratio(catalog["identity"], f, "lower", aux=aux)))
+            out.add_row("fp", "identity", "ratio_lower", i,
+                        ineqlab.fp_ratio(self.W["identity"], f, "lower", aux=aux))
 
-    def s_poincare(rows):
+    def poincare(self, out: Bundle) -> None:
         Q = cubature.Cube(center=np.zeros(3), r=1.0)
         u = ineqlab.linear_component(0, 0, 2)
-        rows.append(("poincare", "identity", "ratio", u.label,
-                     ineqlab.poincare_ratio(catalog["identity"], Q, u)))
+        out.add_row("poincare", "identity", "ratio", u.label,
+                    ineqlab.poincare_ratio(self.W["identity"], Q, u))
 
-    def s_counterexample(rows):
-        Rs = [5.0, 10.0, 20.0] if quick else [10.0, 20.0, 40.0, 80.0]
+    def counterexample(self, out: Bundle) -> None:
+        Rs = [5.0, 10.0, 20.0] if self.quick else [10.0, 20.0, 40.0, 80.0]
         res = ineqlab.counterexample_fp_failure(Rs)
-        rows.append(("counterexample", "rank_one_radial", "slope", "-", res["slope"]))
+        out.add_row("counterexample", "rank_one_radial", "slope", "-", res["slope"])
         for row in res["rows"]:
-            rows.append(("counterexample", "rank_one_radial", "fp_ratio",
-                         row["R"], row["ratio"]))
+            out.add_row("counterexample", "rank_one_radial", "fp_ratio",
+                        row["R"], row["ratio"])
 
-    def s_landscape(rows):
-        op = pde.assemble(catalog["diag_poly"], None, grid3)
-        solver = pde.DirectSolver(op) if grid3.N <= 20 else None
-        mid = grid3.N // 2
-        res = pde.landscape(op, (mid, mid, mid), solver=solver)
-        rows.append(("landscape", "diag_poly", "u", res["x"], res["u"]))
-
-    stages = [("certify", s_certify), ("aux", s_aux), ("agmon", s_agmon),
-              ("green", s_green), ("resolvent", s_resolvent), ("fp", s_fp),
-              ("poincare", s_poincare), ("counterexample", s_counterexample),
-              ("landscape", s_landscape)]
-
-    # each stage appends to its own row buffer; buffers merge in stage order
-    # so threaded execution stays byte-deterministic
-    buffers: dict = {name: [] for name, _ in stages}
-    skipped: dict = {}
-
-    def exec_stage(name, fn):
-        if time.time() - t0 > budget:
-            skipped[name] = True
-            return
-        fn(buffers[name])
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futs = [pool.submit(exec_stage, name, fn) for name, fn in stages]
-            for fut in futs:
-                fut.result()
-    else:
-        for name, fn in stages:
-            exec_stage(name, fn)
-
-    for name, _fn in stages:
-        if skipped.get(name):
-            report.add_row("all", "-", f"{name}_skipped_budget", "-", 1.0)
-        for row in buffers[name]:
-            report.add_row(*row)
-
-    return _finish(report, cfg, out_paths)
+    def landscape(self, out: Bundle) -> None:
+        op = pde.assemble(self.W["diag_poly"], None, self.grid3)
+        res = pde.landscape(op, (self.grid3.N // 2,) * 3, solver=pde.solver_for(op))
+        out.add_row("landscape", "diag_poly", "u", res["x"], res["u"])
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
+@stage("all",
+       ("--scale", dict(dest="params.scale", default="quick", choices=["quick", "full"])),
+       ("--budget", dict(dest="params.budget", type=float, default=30.0, help="minutes")))
+def stage_all(cfg: ExperimentConfig, out: Bundle) -> None:
+    """run the experiment catalog end-to-end"""
+    # once the wall budget is spent, each later step leaves a skipped row instead
+    budget = float(cfg.params.get("budget", 30.0)) * 60.0
+    t0 = time.time()
+    cat = _Catalog(cfg)
+    for name in cat.STEPS:
+        if time.time() - t0 >= budget:
+            out.add_row("all", "-", f"{name}_skipped_budget", "-", 1.0)
+        else:
+            getattr(cat, name)(out)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -487,183 +460,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for matrix-weighted Schroedinger systems")
     ap.add_argument("--config", help="JSON config file (flags override its fields)")
     sub = ap.add_subparsers(dest="subcommand")
-
-    def common(p):
-        p.add_argument("--weight", default="identity",
-                       help="builtin name or weight-descriptor JSON file")
-        p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("certify", help="run a class certifier over a cube family")
-    common(p)
-    p.add_argument("--class", dest="cls", required=True,
-                   choices=["bp", "bp-det", "nd", "ainf", "a2inf", "apinf",
-                            "nc", "rbm", "cross"])
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--family", help="cube-family JSON (file or inline)")
-
-    p = sub.add_parser("aux", help="sample an auxiliary function on a box grid")
-    common(p)
-    p.add_argument("--grid", default="2.0,12", help="L,m")
-    p.add_argument("--kind", default="lower", choices=["lower", "upper"])
-
-    p = sub.add_parser("agmon", help="geodesic distance field of an auxiliary function")
-    common(p)
-    p.add_argument("--grid", default="2.0,12")
-    p.add_argument("--kind", default="lower", choices=["lower", "upper"])
-    p.add_argument("--source", help="i,j,k (defaults to the grid center)")
-    p.add_argument("--norm", default="linf", choices=["linf", "l2"])
-
-    p = sub.add_parser("green", help="fundamental-matrix block at one pole")
-    common(p)
-    p.add_argument("--grid", default="13,2.0", help="N,L")
-    p.add_argument("--pole", help="i,j,k (defaults to the grid center)")
-
-    p = sub.add_parser("decay", help="fit decay envelopes of a Green field")
-    common(p)
-    p.add_argument("--grid", default="21,3.0", help="N,L")
-    p.add_argument("--pole")
-    p.add_argument("--p", type=float, default=2.0)
-
-    p = sub.add_parser("fp", help="Fefferman-Phong-type ratios on a grid")
-    common(p)
-    p.add_argument("--grid", default="2.0,12")
-    p.add_argument("--form", default="lower", choices=["lower", "norm", "upper"])
-    p.add_argument("--count", type=int, default=6)
-
-    p = sub.add_parser("poincare", help="matrix Poincare ratio on a cube")
-    common(p)
-    p.add_argument("--cube", default="0,0,0,1", help="cx,cy,cz,r")
-
-    p = sub.add_parser("counterexample", help="rank-one radial failure experiments")
-    common(p)
-    p.add_argument("--fp", action="store_true", default=True)
-    p.add_argument("--R", default="10,20,40,80")
-
-    p = sub.add_parser("landscape", help="landscape function vs auxiliary comparands")
-    common(p)
-    p.add_argument("--grid", default="13,2.0")
-    p.add_argument("--probes", type=int, default=3)
-
-    p = sub.add_parser("all", help="run the experiment catalog end-to-end")
-    common(p)
-    p.add_argument("--scale", default="quick", choices=["quick", "full"])
-    p.add_argument("--budget", type=float, default=30.0, help="minutes")
+    for name, fn in STAGES.items():
+        p = sub.add_parser(name, help=fn.__doc__)
+        for flag, kwargs in COMMON_FLAGS + fn.flags:
+            metavar = None if "choices" in kwargs else flag.lstrip("-").upper()
+            p.add_argument(flag, metavar=metavar, **kwargs)
     return ap
 
 
-def _parse_pair(text: str, kinds) -> dict:
-    parts = text.split(",")
-    return {k: t(v) for (k, t), v in zip(kinds, parts)}
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's fields, overridden by the flags of a parsed subcommand."""
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
     sub = args.subcommand or base.get("subcommand")
-    if sub is None:
-        raise ConfigError("no subcommand given")
-    cfg = ExperimentConfig(subcommand=sub)
-    cfg.weight = base.get("weight")
-    cfg.family = base.get("family")
-    cfg.grid = base.get("grid")
-    cfg.seed = int(base.get("seed", 1))
-    cfg.out = base.get("out", "out")
-    cfg.threads = int(base.get("threads", 1))
-    cfg.params = dict(base.get("params", {}))
-
-    if hasattr(args, "weight") and args.weight is not None:
-        cfg.weight = _weight_cfg(args.weight)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-
-    if sub == "certify":
-        cfg.params["class"] = args.cls
-        cfg.params["p"] = args.p
-        cfg.family = load_family(getattr(args, "family", None),
-                                 default=cfg.family).to_config()
-    if sub in ("aux", "agmon", "fp"):
-        g = _parse_pair(args.grid, [("L", float), ("m", int)])
-        cfg.grid = g
-    if sub in ("green", "decay", "landscape"):
-        g = _parse_pair(args.grid, [("N", int), ("L", float)])
-        cfg.grid = g
-    if sub in ("aux", "agmon"):
-        cfg.params["kind"] = args.kind
-    if sub == "agmon":
-        cfg.params["norm"] = args.norm
-        if args.source:
-            cfg.params["source"] = [int(v) for v in args.source.split(",")]
-    if sub in ("green", "decay") and getattr(args, "pole", None):
-        cfg.params["pole"] = [int(v) for v in args.pole.split(",")]
-    if sub == "decay":
-        cfg.params["p"] = args.p
-    if sub == "fp":
-        cfg.params["form"] = args.form
-        cfg.params["count"] = args.count
-    if sub == "poincare":
-        cfg.params["cube"] = [float(v) for v in args.cube.split(",")]
-    if sub == "counterexample":
-        cfg.params["R"] = [float(v) for v in args.R.split(",")]
-    if sub == "landscape":
-        cfg.params["n_probes"] = getattr(args, "probes", 3)
-    if sub == "all":
-        cfg.params["scale"] = args.scale
-        cfg.params["budget"] = args.budget
-    if cfg.weight is None:
-        cfg.weight = BUILTIN_WEIGHTS["identity"]
+    if sub not in STAGES:
+        raise ConfigError(f"unknown subcommand {sub!r}")
+    cfg = ExperimentConfig(subcommand=sub,
+                           weight=base.get("weight") or BUILTIN_WEIGHTS["identity"],
+                           family=base.get("family"), grid=base.get("grid"),
+                           seed=int(base.get("seed", 1)), out=base.get("out", "out"),
+                           params=dict(base.get("params", {})))
+    for dest, value in vars(args).items():
+        if value is not None and dest.startswith("params."):
+            cfg.params[dest[len("params."):]] = value
+        elif value is not None and dest not in ("config", "subcommand"):
+            setattr(cfg, dest, value)
     return cfg
 
 
-RUNNERS = {
-    "certify": run_certify,
-    "aux": run_aux,
-    "agmon": run_agmon,
-    "green": run_green,
-    "decay": run_decay,
-    "fp": run_fp,
-    "poincare": run_poincare,
-    "counterexample": run_counterexample,
-    "landscape": run_landscape,
-    "all": run_all,
-}
-
-
 def run(argv=None) -> int:
+    """The driver: parse, run one stage, and write its bundle and manifest."""
     ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv:
-        ap.print_usage(sys.stderr)
-        return 2
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.subcommand is None and not getattr(args, "config", None):
-        ap.print_usage(sys.stderr)
-        return 2
-    try:
+        if args.subcommand is None and not args.config:
+            ap.print_usage(sys.stderr)
+            return 2
         cfg = config_from_args(args)
+        bundle = Bundle(cfg.out)
+        os.makedirs(cfg.out, exist_ok=True)
+        STAGES[cfg.subcommand](cfg, bundle)
+        bundle.config = dataclasses.asdict(cfg)  # after the stage resolved its defaults
+        write_manifest(cfg.out, bundle.write(cfg.out) + bundle.artifacts)
+        return 0
+    except SystemExit as exc:  # from argparse: --help or a bad flag
+        return 2 if exc.code not in (0, None) else 0
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return RUNNERS[cfg.subcommand](cfg)
-    except NUMERICAL_ERRORS as exc:
+    except MWLabError as exc:
         print(f"numerical failure in {cfg.subcommand!r}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:  # console entry point

@@ -386,23 +386,6 @@ def reducing_matrix(W: MatrixWeight, Q: Cube, p: float, *,
     return symmetrize(math.sqrt(d) * sqrt_psd(M))
 
 
-def directional_p_norm(W: MatrixWeight, Q: Cube, e: np.ndarray, p: float,
-                       tol: float = QUAD_TOL) -> float:
-    """(avg_Q |W^{1/p} e|^p)^{1/p} for a single direction (test oracle hook)."""
-    e = np.asarray(e, dtype=float)
-
-    def fn(X):
-        w, v = np.linalg.eigh(W.eval_many(X))
-        wp = np.clip(w, 0.0, None) ** (2.0 / p)
-        fr = np.einsum("mik,mk,mjk->mij", v, wp, v)
-        q = np.einsum("mij,i,j->m", fr, e, e)
-        return np.clip(q, 0.0, None) ** (p / 2.0)
-
-    integ, _ = adaptive_integrate(fn, Q, singular=W.singular_at_origin, tol=tol,
-                                  strict=False)
-    return float((integ / Q.volume) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # determinant inequalities
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .cubature import Cube, adaptive_integrate, average
 from .errors import ConfigError, Degenerate, InsufficientSamples
 from .pde import GreenField
 from .weights import (MatrixWeight, NormDiagWeight, RankOneRadialWeight,
-                      inv_psd, sqrt_psd_many)
+                      inv_psd, sqrt_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def poincare_ratio(W: MatrixWeight, Q: Cube, u: TestFunction,
         raise Degenerate(f"cube integral of the weight is singular: {exc}") from exc
 
     def sandwich(X):
-        roots = sqrt_psd_many(W.eval_many(X))
+        roots = sqrt_psd(W.eval_many(X))
         return np.einsum("mij,jk,mkl->mil", roots, B, roots)
 
     def moments(X):
@@ -186,6 +186,15 @@ def test_function_library(grid: BoxGrid, d: int, count: int = 20,
     return out
 
 
+def fp_aux(W: MatrixWeight, grid: BoxGrid, form: str = "lower") -> AuxField:
+    """The auxiliary field that the ``form`` of :func:`fp_ratio` weighs with."""
+    if form in ("lower", "upper"):
+        return auxmetric.aux_field(W, grid, kind=form)
+    if form == "norm":
+        return auxmetric.aux_field(NormDiagWeight(base=W), grid, kind="lower")
+    raise ConfigError(f"unknown form {form!r}")
+
+
 def fp_ratio(W: MatrixWeight, u_field: TestFunctionField, form: str = "lower",
              aux: Optional[AuxField] = None) -> float:
     """Fefferman-Phong-type ratio LHS/RHS on a grid.
@@ -199,14 +208,7 @@ def fp_ratio(W: MatrixWeight, u_field: TestFunctionField, form: str = "lower",
     nodes = grid.nodes()
     u = u_field.values
     if aux is None:
-        if form == "lower":
-            aux = auxmetric.aux_field(W, grid, kind="lower")
-        elif form == "upper":
-            aux = auxmetric.aux_field(W, grid, kind="upper")
-        elif form == "norm":
-            aux = auxmetric.aux_field(NormDiagWeight(base=W), grid, kind="lower")
-        else:
-            raise ConfigError(f"unknown form {form!r}")
+        aux = fp_aux(W, grid, form)
     m2 = aux.values ** 2
     usq = np.einsum("mi,mi->m", u, u)
     grads = u_field.gradient()

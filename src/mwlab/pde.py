@@ -250,6 +250,12 @@ class DirectSolver:
         return self._lu.solve(np.asarray(rhs, dtype=float).ravel())
 
 
+def solver_for(op: DiscreteOperator) -> Optional[DirectSolver]:
+    """The solver policy: sparse LU for grids with N <= 20, else None, which
+    makes :func:`green_field` and :func:`landscape` run Jacobi-CG."""
+    return DirectSolver(op) if op.grid.N <= 20 else None
+
+
 @dataclass
 class GreenField:
     """d x d blocks of the fundamental matrix at a fixed pole."""
@@ -259,9 +265,6 @@ class GreenField:
     pole: int                      # flat node index
     blocks: np.ndarray             # (size, d, d); blocks[x][j, k] = Gamma_jk(x, pole)
     residual: float
-
-    def pole_node(self) -> np.ndarray:
-        return self.grid.node(self.pole)
 
 
 def green_field(op: DiscreteOperator, pole, tol: float = SOLVE_TOL,

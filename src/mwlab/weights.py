@@ -60,15 +60,10 @@ def is_sym_psd(m: np.ndarray, tol: float = TOL_EIG) -> bool:
 
 
 def sqrt_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
-    """Symmetric PSD square root S with S @ S = m."""
+    """Symmetric PSD square root S with S @ S = m, of one matrix or an (M, d, d) stack."""
     w, v = _clamped_eigh(m, tol)
     s = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(s)
-
-
-def sqrt_psd_many(ms: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
-    """Batched PSD square root of an (M, d, d) stack."""
-    return sqrt_psd(ms, tol)
 
 
 def inv_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
@@ -77,21 +72,6 @@ def inv_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
     if w.min() <= 0.0:
         raise NotPSD("matrix is singular after PSD clamping; cannot invert")
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
-
-
-def logdet_psd(m: np.ndarray, tol: float = TOL_EIG) -> float:
-    w, _ = _clamped_eigh(m, tol)
-    if w.min() <= 0.0:
-        return -math.inf
-    return float(np.sum(np.log(w), axis=-1))
-
-
-def lambda_min(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(symmetrize(m))[..., 0]
-
-
-def lambda_max(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(symmetrize(m))[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -667,22 +647,6 @@ def det_radial_poly(W: MatrixWeight) -> Optional[np.ndarray]:
             acc = np.convolve(acc, base)
         return acc
     return None
-
-
-# ---------------------------------------------------------------------------
-# spec'd operations
-# ---------------------------------------------------------------------------
-
-def eval_weight(W: MatrixWeight, x) -> np.ndarray:
-    """Evaluate a matrix weight at a point; symmetric and numerically PSD."""
-    return W.eval(x)
-
-
-def inv_power_weight(W: PowerWeight, x) -> np.ndarray:
-    """Closed-form inverse of a power weight away from the origin."""
-    if not isinstance(W, PowerWeight):
-        raise ConfigError("inv_power_weight applies to power weights only")
-    return W.inverse_eval(x)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,37 @@ class TestBundles:
         assert ratios[0] == pytest.approx(1.0 / 6.0, rel=1e-5)
 
 
+class TestConfigOnly:
+    """A config file naming the subcommand, with no subcommand on the command line."""
+
+    def _write(self, tmp_path, cls):
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"subcommand": "certify", "out": str(tmp_path / "o"),
+                                       "params": {"class": cls}}))
+        return str(cfgpath)
+
+    def test_certify_from_config_file(self, tmp_path):
+        assert run_cli(["--config", self._write(tmp_path, "nd")]) == 0
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert doc["config"]["subcommand"] == "certify"
+        assert doc["config"]["family"]["count"] == 16
+        assert any(row["quantity"] == "nd_estimate" for row in doc["rows"])
+        assert (tmp_path / "o" / "manifest.txt").exists()
+
+    def test_unknown_certifier_class_is_config_error(self, tmp_path):
+        assert run_cli(["--config", self._write(tmp_path, "bogus")]) == 2
+
+
+class TestAllBudget:
+    def test_zero_budget_skips_every_step_in_order(self, tmp_path):
+        out = tmp_path / "all"
+        assert run_cli(["all", "--budget", "0", "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        steps = ["certify", "aux", "agmon", "green", "resolvent", "fp", "poincare",
+                 "counterexample", "landscape"]
+        assert rows == [f"all,-,{s}_skipped_budget,-,1" for s in steps]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         # distinct directories: CSV rows must agree byte for byte (the JSON

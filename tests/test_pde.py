@@ -95,6 +95,11 @@ class TestSolve:
         x = pde.solve(op, rhs, tol=1e-10)
         assert np.linalg.norm(op.matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
+    def test_solver_policy_switches_to_cg_above_N20(self):
+        lu = pde.solver_for(pde.assemble(None, None, pde.Grid3(L=1.0, N=20), d=1))
+        assert isinstance(lu, pde.DirectSolver)
+        assert pde.solver_for(pde.assemble(None, None, pde.Grid3(L=1.0, N=21), d=1)) is None
+
 
 class TestGreen:
     def test_free_kernel_validation(self):
