@@ -3,8 +3,8 @@
 Modules:
 
 * :mod:`mwlab.weights`   - evaluable matrix weight catalog and PSD algebra
-* :mod:`mwlab.cubature`  - cubes, adaptive quadrature, reducing matrices
-* :mod:`mwlab.certify`   - matrix-class certifiers and cross implications
+* :mod:`mwlab.cubature`  - cubes, adaptive quadrature, minimum-volume ellipsoids
+* :mod:`mwlab.certify`   - matrix-class certifiers, reducing matrices, cross implications
 * :mod:`mwlab.auxmetric` - auxiliary functions and Agmon distance fields
 * :mod:`mwlab.pde`       - discrete weakly coupled systems and Green fields
 * :mod:`mwlab.ineqlab`   - inequality harnesses, envelope fits, reports

@@ -68,17 +68,16 @@ def as_matrix_weight(v) -> MatrixWeight:
 # ---------------------------------------------------------------------------
 
 def _criterion_many(W: MatrixWeight, X: np.ndarray, r, kind: str,
-                    e: Optional[np.ndarray], coarse: bool = False) -> np.ndarray:
+                    e: Optional[np.ndarray]) -> np.ndarray:
     """Criterion of Psi(x, r) for a batch of centers; r scalar or (M,).
 
     Weights without closed-form cube integrals fall back to per-point
-    adaptive quadrature; the ladder scan runs it coarse (the crossing only
-    needs to be bracketed) and bisection tightens it.
+    adaptive quadrature at tolerance 1e-3 and level cap 3, the same in the
+    ladder scan and in bisection.
     """
     X = np.atleast_2d(X)
     P = psi_many(W, X, r)
     if P is None:
-        tol, lvl = (1e-3, 3) if coarse else (1e-4, 4)
         rs = np.broadcast_to(np.asarray(r, dtype=float), (X.shape[0],))
         n = W.n
         mats = []
@@ -86,7 +85,7 @@ def _criterion_many(W: MatrixWeight, X: np.ndarray, r, kind: str,
             cube = Cube(center=X[i], r=float(rs[i]))
             total, _ = adaptive_integrate(W.eval_many, cube,
                                           singular=W.singular_at_origin,
-                                          tol=tol, max_level=lvl, strict=False)
+                                          tol=1e-3, max_level=3, strict=False)
             mats.append(symmetrize(total) * float(rs[i]) ** (2 - n))
         P = np.stack(mats)
     if kind == "lower":
@@ -130,7 +129,7 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
     prev_le = None
     below_any = np.zeros(m, dtype=bool)
     for i, r in enumerate(ladder):
-        le = _criterion_many(W, X, float(r), kind, e, coarse=True) <= 1.0
+        le = _criterion_many(W, X, float(r), kind, e) <= 1.0
         below_any |= le
         if prev_le is not None:
             flip = prev_le & ~le
@@ -147,13 +146,13 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
 
     r_lo = ladder[left]
     r_hi = ladder[left + 1]
-    # quadrature-backed weights keep the coarse evaluation through bisection:
+    # quadrature-backed weights keep the ladder's quadrature through bisection:
     # all criterion kinds then see the same deterministic Psi(x, r), which is
     # what makes the lower/directional/upper ordering exact by construction
     it = int(math.ceil(math.log2(math.log(ladder[1] / ladder[0]) / rtol))) + 2
     for _ in range(it):
         mids = np.sqrt(r_lo * r_hi)
-        le = _criterion_many(W, X, mids, kind, e, coarse=True) <= 1.0
+        le = _criterion_many(W, X, mids, kind, e) <= 1.0
         r_lo = np.where(le, mids, r_lo)
         r_hi = np.where(le, r_hi, mids)
     return 1.0 / np.sqrt(r_lo * r_hi)

@@ -5,7 +5,9 @@ min, and returns a :class:`CertReport` carrying the constant estimate, the
 worst cube (witness), and an operational pass verdict.  Finite families
 cannot certify a supremum over all cubes, so "pass" for unbounded-constant
 classes means the estimate stays stable (<10% growth per step) across three
-nested family refinements.
+nested family refinements.  A refinement only appends a finer level to the
+cube list, so the stability verdict sweeps the second refinement once and
+reads the three nested estimates off prefixes of that one sweep.
 
 Certified classes and their constants:
 
@@ -31,8 +33,9 @@ from .cubature import (Cube, CubeFamily, adaptive_integrate,
                        khachiyan_mvee_centered)
 from .errors import ConfigError, Degenerate, DomainError, SingularSample
 from .ineqlab import _to_jsonable
-from .weights import (MatrixWeight, cube_even_moments, inv_psd, sqrt_psd,
-                      symmetrize, TOL_EIG)
+from .weights import (MatrixWeight, cube_even_moments, det_radial_poly,
+                      dominant_entry_poly, inv_psd, radial_poly_cube_integral_many,
+                      sqrt_psd, symmetrize, TOL_EIG)
 
 CERT_TOL = 1e-4          # quadrature tolerance inside certifier sweeps
 CERT_MAX_LEVEL = 5       # refinement cap for certifier quadrature
@@ -97,34 +100,14 @@ class _EigScalarWeight(MatrixWeight):
             col = lam[:, 0] if self.which == "min" else lam[:, -1]
         return col[:, None, None]
 
-    def _eig_radial_poly(self):
-        from .weights import (ConstantWeight, NormDiagWeight,
-                              ScalarDiagWeight)
-        if self.which == "max":
-            return NormDiagWeight(base=self.base)._dominant_entry_poly()
-        if isinstance(self.base, ScalarDiagWeight):
-            polys = [v.radial_poly() for v in self.base.entries]
-            if any(p is None for p in polys):
-                return None
-            kmax = max(len(p) for p in polys)
-            padded = [np.pad(p, (0, kmax - len(p))) for p in polys]
-            for cand in padded:
-                if all(np.all(q - cand >= 0) for q in padded):
-                    return cand
-            return None
-        if isinstance(self.base, ConstantWeight):
-            return np.array([float(np.linalg.eigvalsh(self.base.mat)[0])])
-        return None
-
     def qform_radial_poly(self, e):
-        poly = self._eig_radial_poly()
+        poly = dominant_entry_poly(self.base, self.which)
         if poly is None:
             return None
         return float(np.dot(e, e)) * poly
 
     def exact_cube_integral_many(self, centers, r):
-        from .weights import radial_poly_cube_integral_many
-        poly = self._eig_radial_poly()
+        poly = dominant_entry_poly(self.base, self.which)
         if poly is None:
             return None
         return radial_poly_cube_integral_many(poly, centers, r)[:, None, None]
@@ -154,7 +137,6 @@ class _DetRootWeight(MatrixWeight):
 
     def _root_poly(self):
         # det^(1/d) stays a radial monomial when det is c * s^k with d | k
-        from .weights import det_radial_poly
         poly = det_radial_poly(self.base)
         if poly is None:
             return None
@@ -175,7 +157,6 @@ class _DetRootWeight(MatrixWeight):
         return float(np.dot(e, e)) * poly
 
     def exact_cube_integral_many(self, centers, r):
-        from .weights import radial_poly_cube_integral_many
         poly = self._root_poly()
         if poly is None:
             return None
@@ -414,12 +395,54 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep(per_cube: Callable[[Cube], float], family: CubeFamily, reduce_max: bool = True):
-    cubes = family.cubes()
-    vals = [per_cube(c) for c in cubes]
-    arr = np.asarray(vals, dtype=float)
-    idx = int(np.argmax(arr)) if reduce_max else int(np.argmin(arr))
-    return float(arr[idx]), cubes[idx], vals
+def _certify(class_name: str, family: CubeFamily, per_cube: Callable[[Cube], tuple],
+             stability: bool, *, min_type: bool = False, mode: str = "",
+             details: Optional[dict] = None,
+             summary: Optional[Callable] = None) -> CertReport:
+    """One sweep: ``per_cube(cube) -> (score, extra)`` runs once on each cube.
+
+    The estimate is the max score (the min with ``min_type``).  The sweep
+    covers ``family``, or with ``stability`` its second refinement, whose cube
+    list starts with the cubes of ``family.refine()`` and of ``family``, so
+    the three nested estimates of the stability verdict are reductions of
+    three prefixes.  The witness and the details describe the prefix of
+    ``family``: ``summary(scores, extras, worst) -> (passed, details,
+    witness extras)`` builds them, by default a finite estimate passes and
+    the details are the scores as ``per_cube`` followed by ``details``.
+    """
+    fams = [family]
+    for _ in range(2 if stability else 0):
+        fams.append(fams[-1].refine())
+    cubes = fams[-1].cubes()
+    outs = [per_cube(c) for c in cubes]
+    arr = np.asarray([score for score, _ in outs], dtype=float)
+    pick = np.argmin if min_type else np.argmax
+    sizes = [len(fam.cubes()) for fam in fams[:-1]] + [len(cubes)]
+    worst = [int(pick(arr[:k])) for k in sizes]
+    estimates = [float(arr[i]) for i in worst]
+    est = estimates[0]
+    base = outs[:sizes[0]]
+    scores = [score for score, _ in base]
+    if summary is None:
+        passed, extra = bool(np.isfinite(est)), {}
+        info = {"per_cube": scores, **(details or {})}
+    else:
+        passed, info, extra = summary(scores, [x for _, x in base], worst[0])
+    cube = cubes[worst[0]]
+    report = CertReport(
+        class_name=class_name, constant_estimate=est, family=family.to_config(),
+        witness={"center": cube.center.tolist(), "r": cube.r, **extra, "value": est},
+        passed=passed, mode=mode, details=info)
+    if stability:
+        # a max-type estimate may grow by at most GROWTH_BUDGET per
+        # refinement, a min-type one shrink by at most that much
+        ok = all(b >= a * (1.0 - GROWTH_BUDGET) - 1e-300 if min_type
+                 else b <= a * (1.0 + GROWTH_BUDGET) + 1e-300
+                 for a, b in zip(estimates, estimates[1:]))
+        report.details["stability_estimates"] = estimates
+        report.passed = bool(passed and ok and np.isfinite(estimates[-1]))
+        report.constant_estimate = estimates[-1]
+    return report
 
 
 def bp_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
@@ -429,60 +452,30 @@ def bp_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
     (avg <We,e>^p)^(1/p) / <avg W e, e>."""
     if p <= 1:
         raise ConfigError("reverse Hoelder exponent must exceed 1")
-    witness_dir = {}
 
-    def per_cube(c: Cube) -> float:
-        val, e = _bp_cube(W, p, c, tol, seed)
-        witness_dir[c.key()] = e
-        return val
+    def summary(scores, dirs, worst):
+        return (bool(np.isfinite(scores[worst])), {"per_cube": scores, "p": p, "seed": seed},
+                {"direction": dirs[worst].tolist()})
 
-    est, worst, vals = _sweep(per_cube, family)
-    report = CertReport(
-        class_name="bp", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r,
-                 "direction": witness_dir[worst.key()].tolist(), "value": est},
-        passed=bool(np.isfinite(est)), mode=f"p={p}",
-        details={"per_cube": vals, "p": p, "seed": seed})
-    if stability:
-        _apply_stability(report, lambda fam: bp_constant(W, p, fam, tol=tol, seed=seed),
-                         family)
-    return report
+    return _certify("bp", family, lambda c: _bp_cube(W, p, c, tol, seed), stability,
+                    mode=f"p={p}", summary=summary)
 
 
 def bp_det_check(W: MatrixWeight, p: float, family: CubeFamily, *,
                  tol: float = CERT_TOL, seed: int = 11,
                  stability: bool = False) -> CertReport:
     """Determinant-route reverse Hoelder check via reducing matrices."""
-    def per_cube(c: Cube) -> float:
-        return _bp_det_cube(W, p, c, tol, seed)
-
-    est, worst, vals = _sweep(per_cube, family)
-    report = CertReport(
-        class_name="bp-det", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
-        passed=bool(np.isfinite(est)), mode=f"p={p}",
-        details={"per_cube": vals, "p": p, "seed": seed})
-    if stability:
-        _apply_stability(report, lambda fam: bp_det_check(W, p, fam, tol=tol, seed=seed),
-                         family)
-    return report
+    return _certify("bp-det", family, lambda c: (_bp_det_cube(W, p, c, tol, seed), None),
+                    stability, mode=f"p={p}", details={"p": p, "seed": seed})
 
 
 def nd_check(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL) -> CertReport:
     """Nondegeneracy: cube integrals must be positive definite (scale-aware floor)."""
-    records = []
+    def summary(lams, floors, worst):
+        return all(lam > floor for lam, floor in zip(lams, floors)), {"per_cube": lams}, {}
 
-    def per_cube(c: Cube) -> float:
-        lam, floor = _nd_cube(W, c, tol)
-        records.append((lam, floor))
-        return lam
-
-    est, worst, vals = _sweep(per_cube, family, reduce_max=False)
-    passed = all(lam > floor for lam, floor in records)
-    return CertReport(
-        class_name="nd", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
-        passed=passed, details={"per_cube": vals})
+    return _certify("nd", family, lambda c: _nd_cube(W, c, tol), False, min_type=True,
+                    summary=summary)
 
 
 def ainf_profile(W: MatrixWeight, eps_list: Sequence[float], family: CubeFamily, *,
@@ -491,85 +484,38 @@ def ainf_profile(W: MatrixWeight, eps_list: Sequence[float], family: CubeFamily,
     """delta(eps) profile: per cube, the largest delta such that
     V(x) >= delta * (avg_Q V) off an eps-fraction of the cube."""
     eps_list = [float(e) for e in eps_list]
-    profiles = {}
-    sing = {}
 
-    cubes = family.cubes()
-    for c in cubes:
+    def per_cube(c: Cube):
         deltas, frac = _ainf_cube(W, c, eps_list, sample_count, seed, strict, tol)
-        profiles[c.key()] = deltas
-        sing[c.key()] = frac
-    delta_min = {e: min(profiles[c.key()][e] for c in cubes) for e in eps_list}
-    worst = min(cubes, key=lambda c: min(profiles[c.key()].values()))
-    est = min(delta_min.values())
-    report = CertReport(
-        class_name="ainf", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r,
-                 "value": min(profiles[worst.key()].values())},
-        passed=bool(est > 0.0),
-        details={"delta": {str(e): delta_min[e] for e in eps_list},
-                 "singular_fraction": max(sing.values()),
-                 "sample_count": sample_count, "seed": seed})
-    if stability:
-        _apply_stability(report,
-                         lambda fam: ainf_profile(W, eps_list, fam,
-                                                  sample_count=sample_count,
-                                                  seed=seed, strict=strict, tol=tol),
-                         family, min_type=True)
-    return report
+        return min(deltas.values()), (deltas, frac)
+
+    def summary(scores, profiles, worst):
+        delta_min = {str(e): min(deltas[e] for deltas, _ in profiles) for e in eps_list}
+        return (bool(scores[worst] > 0.0),
+                {"delta": delta_min, "singular_fraction": max(f for _, f in profiles),
+                 "sample_count": sample_count, "seed": seed}, {})
+
+    return _certify("ainf", family, per_cube, stability, min_type=True, summary=summary)
 
 
 def a2inf_constant(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL,
                    stability: bool = False) -> CertReport:
     """Determinant A-infinity constant: max of det(avg) / exp(avg ln det)."""
-    def per_cube(c: Cube) -> float:
-        return _a2inf_cube(W, c, tol)
-
-    est, worst, vals = _sweep(per_cube, family)
-    report = CertReport(
-        class_name="a2inf", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
-        passed=bool(np.isfinite(est)),
-        details={"per_cube": vals})
-    if stability:
-        _apply_stability(report, lambda fam: a2inf_constant(W, fam, tol=tol), family)
-    return report
+    return _certify("a2inf", family, lambda c: (_a2inf_cube(W, c, tol), None), stability)
 
 
 def apinf_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
                    tol: float = CERT_TOL, seed: int = 11,
                    stability: bool = False) -> CertReport:
     """Determinant condition for the p-th power weight at exponent 2p."""
-    def per_cube(c: Cube) -> float:
-        return _apinf_cube(W, p, c, tol, seed)
-
-    est, worst, vals = _sweep(per_cube, family)
-    report = CertReport(
-        class_name="apinf", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
-        passed=bool(np.isfinite(est)), mode=f"p={p}",
-        details={"per_cube": vals, "p": p})
-    if stability:
-        _apply_stability(report, lambda fam: apinf_constant(W, p, fam, tol=tol,
-                                                            seed=seed), family)
-    return report
+    return _certify("apinf", family, lambda c: (_apinf_cube(W, p, c, tol, seed), None),
+                    stability, mode=f"p={p}", details={"p": p})
 
 
 def rbm_constant(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL,
                  stability: bool = False) -> CertReport:
     """Reverse Brunn-Minkowski constant: max of det(avg)^(1/d) / avg(det^(1/d))."""
-    def per_cube(c: Cube) -> float:
-        return _rbm_cube(W, c, tol)
-
-    est, worst, vals = _sweep(per_cube, family)
-    report = CertReport(
-        class_name="rbm", constant_estimate=est, family=family.to_config(),
-        witness={"center": worst.center.tolist(), "r": worst.r, "value": est},
-        passed=bool(np.isfinite(est)),
-        details={"per_cube": vals})
-    if stability:
-        _apply_stability(report, lambda fam: rbm_constant(W, fam, tol=tol), family)
-    return report
+    return _certify("rbm", family, lambda c: (_rbm_cube(W, c, tol), None), stability)
 
 
 def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
@@ -603,27 +549,6 @@ def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
         witness={"center": worst.center.tolist(), "r": worst.r, "value": float(arr[idx])},
         passed=bool(arr[idx] >= floor), mode=mode,
         details={"per_cube": vals, "floor": floor})
-
-
-def _apply_stability(report: CertReport, runner: Callable[[CubeFamily], CertReport],
-                     family: CubeFamily, min_type: bool = False,
-                     refinements: int = 2, budget: float = GROWTH_BUDGET):
-    """Operational pass: re-run on nested refinements; a max-type estimate may
-    grow by at most ``budget`` per step (min-type: shrink)."""
-    estimates = [report.constant_estimate]
-    fam = family
-    for _ in range(refinements):
-        fam = fam.refine()
-        estimates.append(runner(fam).constant_estimate)
-    ok = True
-    for a, b in zip(estimates, estimates[1:]):
-        if min_type:
-            ok = ok and (b >= a * (1.0 - budget) - 1e-300)
-        else:
-            ok = ok and (b <= a * (1.0 + budget) + 1e-300)
-    report.details["stability_estimates"] = estimates
-    report.passed = bool(report.passed and ok and np.isfinite(estimates[-1]))
-    report.constant_estimate = float(estimates[-1])
 
 
 def replay_witness(W: MatrixWeight, report: CertReport, *, tol: float = CERT_TOL,

@@ -463,13 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in STAGES.items():
         p = sub.add_parser(name, help=fn.__doc__)
         for flag, kwargs in COMMON_FLAGS + fn.flags:
+            # a flag left off the command line stays off the namespace, so
+            # config_from_args can put the config file before its default
             metavar = None if "choices" in kwargs else flag.lstrip("-").upper()
-            p.add_argument(flag, metavar=metavar, **kwargs)
+            p.add_argument(flag, metavar=metavar, **{**kwargs, "default": argparse.SUPPRESS})
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's fields, overridden by the flags of a parsed subcommand."""
+    """Each config field from its explicit flag, else the config file, else
+    the flag's default."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -482,10 +485,22 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                            family=base.get("family"), grid=base.get("grid"),
                            seed=int(base.get("seed", 1)), out=base.get("out", "out"),
                            params=dict(base.get("params", {})))
-    for dest, value in vars(args).items():
-        if value is not None and dest.startswith("params."):
-            cfg.params[dest[len("params."):]] = value
-        elif value is not None and dest not in ("config", "subcommand"):
+    given = vars(args)
+    for flag, kwargs in COMMON_FLAGS + STAGES[sub].flags:
+        dest = kwargs.get("dest", flag.lstrip("-"))
+        key = dest[len("params."):] if dest.startswith("params.") else dest
+        in_file = key in (base.get("params", {}) if dest.startswith("params.") else base)
+        if dest in given:
+            value = given[dest]
+        elif in_file or kwargs.get("default") is None:
+            continue
+        else:  # argparse passes a string default through the flag's type
+            value = kwargs["default"]
+            if isinstance(value, str) and "type" in kwargs:
+                value = kwargs["type"](value)
+        if dest.startswith("params."):
+            cfg.params[key] = value
+        else:
             setattr(cfg, dest, value)
     return cfg
 

@@ -577,27 +577,8 @@ class NormDiagWeight(MatrixWeight):
         lam = self.norm_many(X)
         return lam[:, None, None] * np.eye(self.d)[None, :, :]
 
-    def _dominant_entry_poly(self) -> Optional[np.ndarray]:
-        # For diagonal bases whose top entry dominates everywhere (coefficient
-        # dominance in s), |V| is that entry and stays a radial polynomial.
-        if isinstance(self.base, RankOneRadialWeight):
-            return np.array([1.0, 0.0, 1.0])
-        if isinstance(self.base, ScalarDiagWeight):
-            polys = [v.radial_poly() for v in self.base.entries]
-            if any(p is None for p in polys):
-                return None
-            kmax = max(len(p) for p in polys)
-            padded = [np.pad(p, (0, kmax - len(p))) for p in polys]
-            for cand in padded:
-                if all(np.all(cand - q >= 0) for q in padded):
-                    return cand
-            return None
-        if isinstance(self.base, ConstantWeight):
-            return np.array([float(np.linalg.eigvalsh(self.base.mat)[-1])])
-        return None
-
     def exact_cube_integral_many(self, centers, r):
-        poly = self._dominant_entry_poly()
+        poly = dominant_entry_poly(self.base)
         if poly is None:
             return None
         centers = np.atleast_2d(centers)
@@ -605,7 +586,7 @@ class NormDiagWeight(MatrixWeight):
         return scal[:, None, None] * np.eye(self.d)[None, :, :]
 
     def qform_radial_poly(self, e):
-        poly = self._dominant_entry_poly()
+        poly = dominant_entry_poly(self.base)
         if poly is None:
             return None
         return float(np.dot(e, e)) * poly
@@ -613,6 +594,33 @@ class NormDiagWeight(MatrixWeight):
     def to_config(self):
         return {"kind": "norm_diag", "n": self.n, "d": self.d,
                 "base": self.base.to_config()}
+
+
+def dominant_entry_poly(W: MatrixWeight, which: str = "max") -> Optional[np.ndarray]:
+    """Largest (``which="max"``) or smallest (``"min"``) eigenvalue of W as a
+    polynomial in s = |x|^2, when the descriptor allows.
+
+    For diagonal weights one entry must dominate (or be dominated by) every
+    other coefficient by coefficient in s; it is then the extreme entry
+    everywhere and stays a radial polynomial.
+    """
+    sign = 1.0 if which == "max" else -1.0
+    if isinstance(W, RankOneRadialWeight):
+        return np.array([1.0, 0.0, 1.0]) if which == "max" else None
+    if isinstance(W, ScalarDiagWeight):
+        polys = [v.radial_poly() for v in W.entries]
+        if any(p is None for p in polys):
+            return None
+        kmax = max(len(p) for p in polys)
+        padded = [np.pad(p, (0, kmax - len(p))) for p in polys]
+        for cand in padded:
+            if all(np.all(sign * (cand - q) >= 0) for q in padded):
+                return cand
+        return None
+    if isinstance(W, ConstantWeight):
+        lam = np.linalg.eigvalsh(W.mat)
+        return np.array([float(lam[-1] if which == "max" else lam[0])])
+    return None
 
 
 def det_radial_poly(W: MatrixWeight) -> Optional[np.ndarray]:
@@ -639,7 +647,7 @@ def det_radial_poly(W: MatrixWeight) -> Optional[np.ndarray]:
         detp = np.convolve(t[0, 0], t[1, 1]) - np.convolve(t[0, 1], t[1, 0])
         return np.convolve(detp, detp)
     if isinstance(W, NormDiagWeight):
-        base = W._dominant_entry_poly()
+        base = dominant_entry_poly(W.base)
         if base is None:
             return None
         acc = np.array([1.0])

@@ -232,6 +232,86 @@ class TestNc:
         assert not rep.passed
 
 
+class TestReducingMatrix:
+    """reducing_matrix_qform(W, Q, p) wraps e -> (avg <W e, e>^p)^(1/(2p)) in
+    its John ellipsoid: N(e) <= |R e| <= sqrt(d) N(e) with d = 2."""
+
+    def test_p1_brackets_average(self, rank_one, rng):
+        # p = 1: N(e) = <avg W e, e>^(1/2), with the average by quadrature
+        Q = cb.Cube(center=rng.uniform(-1, 1, size=3), r=0.8)
+        R = cf.reducing_matrix_qform(rank_one, Q, 1.0)
+        avg = cb.average(rank_one, Q)
+        dirs = np.concatenate([np.eye(2), rng.standard_normal((16, 2))])
+        for e in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+            N = math.sqrt(float(e @ avg @ e))
+            val = np.linalg.norm(R @ e)
+            assert N * (1 - 1e-6) <= val <= math.sqrt(2) * N * (1 + 1e-6)
+
+    def test_identity(self, identity2):
+        # N(e) = |e|: the John ellipsoid is the unit disc, R = sqrt(d) I
+        R = cf.reducing_matrix_qform(identity2, cb.Cube(center=np.zeros(3), r=1.0), 1.0)
+        assert np.allclose(R, math.sqrt(2) * np.eye(2), rtol=0, atol=1e-8)
+
+    def test_p2_moment_oracle(self, diag_poly):
+        Q = cb.Cube(center=np.array([1.0, 0.5, -0.25]), r=0.5)
+        R = cf.reducing_matrix_qform(diag_poly, Q, 2.0)
+        # independent oracle per axis: for diagonal weights <W e_i, e_i>^2 =
+        # v_i^2, so N(e_i) = (avg v_i^2)^(1/4) from exact radial moments
+        for i, e in enumerate(np.eye(2)):
+            poly = diag_poly.entries[i].radial_poly()
+            mom = mw.radial_poly_cube_integral_many(np.convolve(poly, poly),
+                                                    Q.center[None, :], Q.r)[0]
+            N = (mom / Q.volume) ** 0.25
+            val = np.linalg.norm(R @ e)
+            assert N * (1 - 1e-6) <= val <= math.sqrt(2) * N * (1 + 1e-6)
+
+    def test_degenerate_direction_raises(self):
+        W = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),
+                                         mw.ConstantScalar(0.0)))
+        with pytest.raises(Degenerate):
+            cf.reducing_matrix_qform(W, cb.Cube(center=np.zeros(3), r=1.0), 2.0)
+
+
+class TestOneSweep:
+    """With stability=True a certifier sweeps the second refinement once and
+    reads the three nested estimates off prefixes."""
+
+    FAM = cb.CubeFamily(generator="random", box=4.0, count=2, r_min=1.0, r_max=2.0)
+
+    def _nested(self):
+        return [self.FAM, self.FAM.refine(), self.FAM.refine().refine()]
+
+    def test_max_type_estimates_match_separate_runs(self, diag_poly):
+        rep = cf.bp_constant(diag_poly, 2.0, self.FAM, stability=True)
+        runs = [cf.bp_constant(diag_poly, 2.0, f) for f in self._nested()]
+        assert rep.details["stability_estimates"] == [r.constant_estimate for r in runs]
+        assert rep.constant_estimate == runs[-1].constant_estimate
+        # the witness and per-cube values stay those of the unrefined family
+        assert rep.witness == runs[0].witness
+        assert rep.details["per_cube"] == runs[0].details["per_cube"]
+
+    def test_min_type_estimates_match_separate_runs(self, power13):
+        kw = dict(sample_count=512)
+        rep = cf.ainf_profile(power13, [0.1, 0.5], self.FAM, stability=True, **kw)
+        runs = [cf.ainf_profile(power13, [0.1, 0.5], f, **kw) for f in self._nested()]
+        assert rep.details["stability_estimates"] == [r.constant_estimate for r in runs]
+        assert rep.details["delta"] == runs[0].details["delta"]
+        assert rep.witness == runs[0].witness
+
+    def test_each_cube_evaluated_once(self, identity2, monkeypatch):
+        seen = []
+        inner = cf._a2inf_cube
+
+        def counting(W, cube, tol):
+            seen.append(cube.key())
+            return inner(W, cube, tol)
+
+        monkeypatch.setattr(cf, "_a2inf_cube", counting)
+        cf.a2inf_constant(identity2, self.FAM, stability=True)
+        assert seen == [c.key() for c in self._nested()[-1].cubes()]
+        assert len(set(seen)) == len(seen)
+
+
 class TestReportMechanics:
     def test_witness_replay(self, rank_one, diag_poly, small_family):
         for W in (rank_one, diag_poly):

@@ -113,6 +113,51 @@ class TestConfigOnly:
         assert run_cli(["--config", self._write(tmp_path, "bogus")]) == 2
 
 
+class TestConfigPrecedence:
+    """A field comes from its explicit flag, else the config file, else the flag default."""
+
+    def _write(self, tmp_path):
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "subcommand": "aux",
+            "weight": {"kind": "constant", "n": 3, "d": 2,
+                       "mat": [[2.0, 0.0], [0.0, 2.0]]},
+            "grid": {"L": 1.0, "m": 4},
+            "out": str(tmp_path / "from_file"),
+            "params": {"kind": "upper"}}))
+        return str(cfgpath)
+
+    def test_file_fields_beat_flag_defaults(self, tmp_path):
+        assert run_cli(["--config", self._write(tmp_path), "aux"]) == 0
+        doc = json.loads((tmp_path / "from_file" / "report.json").read_text())
+        cfg = doc["config"]
+        assert cfg["weight"]["mat"] == [[2.0, 0.0], [0.0, 2.0]]
+        assert cfg["grid"] == {"L": 1.0, "m": 4}
+        assert cfg["params"] == {"kind": "upper"}
+        assert cfg["seed"] == 1
+        assert doc["results"]["kind"] == "upper"
+        # constant 2 I on a side-2r cube: Psi(x, r) = r^(-1) (2r)^3 2 I = 16 r^2 I,
+        # so the criterion crosses 1 at r = 1/4 and m = 4 everywhere
+        assert doc["results"]["max"] == pytest.approx(4.0, rel=1e-6)
+
+    def test_explicit_flags_beat_file(self, tmp_path):
+        out = tmp_path / "flag"
+        assert run_cli(["--config", self._write(tmp_path), "aux", "--kind", "lower",
+                        "--grid", "1.0,3", "--out", str(out)]) == 0
+        cfg = json.loads((out / "report.json").read_text())["config"]
+        assert cfg["params"] == {"kind": "lower"}
+        assert cfg["grid"] == {"L": 1.0, "m": 3}
+        assert cfg["weight"]["mat"] == [[2.0, 0.0], [0.0, 2.0]]
+        assert not (tmp_path / "from_file").exists()
+
+    def test_command_line_run_echoes_every_default(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["aux", "--grid", "1.0,3", "--out", str(out)]) == 0
+        cfg = json.loads((out / "report.json").read_text())["config"]
+        assert cfg["weight"] == cli.BUILTIN_WEIGHTS["identity"]
+        assert cfg["seed"] == 1 and cfg["params"] == {"kind": "lower"}
+
+
 class TestAllBudget:
     def test_zero_budget_skips_every_step_in_order(self, tmp_path):
         out = tmp_path / "all"
