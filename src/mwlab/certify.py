@@ -34,8 +34,7 @@ from .cubature import (Cube, CubeFamily, adaptive_integrate,
 from .errors import ConfigError, Degenerate, DomainError, SingularSample
 from .ineqlab import _to_jsonable
 from .weights import (MatrixWeight, cube_even_moments, det_radial_poly,
-                      dominant_entry_poly, inv_psd, radial_poly_cube_integral_many,
-                      sqrt_psd, symmetrize, TOL_EIG)
+                      dominant_entry_poly, inv_psd, sqrt_psd, symmetrize, TOL_EIG)
 
 CERT_TOL = 1e-4          # quadrature tolerance inside certifier sweeps
 CERT_MAX_LEVEL = 5       # refinement cap for certifier quadrature
@@ -100,17 +99,9 @@ class _EigScalarWeight(MatrixWeight):
             col = lam[:, 0] if self.which == "min" else lam[:, -1]
         return col[:, None, None]
 
-    def qform_radial_poly(self, e):
+    def radial_table(self):
         poly = dominant_entry_poly(self.base, self.which)
-        if poly is None:
-            return None
-        return float(np.dot(e, e)) * poly
-
-    def exact_cube_integral_many(self, centers, r):
-        poly = dominant_entry_poly(self.base, self.which)
-        if poly is None:
-            return None
-        return radial_poly_cube_integral_many(poly, centers, r)[:, None, None]
+        return None if poly is None else poly[None, None, :]
 
     def to_config(self):
         return {"kind": f"eig_{self.which}", "n": self.n, "d": 1,
@@ -135,32 +126,20 @@ class _DetRootWeight(MatrixWeight):
         dets = _safe_dets(self.base.eval_many(X))
         return (np.clip(dets, 0.0, None) ** (1.0 / self.base.d))[:, None, None]
 
-    def _root_poly(self):
+    def radial_table(self):
         # det^(1/d) stays a radial monomial when det is c * s^k with d | k
         poly = det_radial_poly(self.base)
         if poly is None:
             return None
         nz = np.nonzero(np.abs(poly) > 0)[0]
         if len(nz) != 1:
-            return np.array([0.0]) if len(nz) == 0 else None
+            return np.zeros((1, 1, 1)) if len(nz) == 0 else None
         k = int(nz[0])
         if k % self.base.d:
             return None
-        out = np.zeros(k // self.base.d + 1)
-        out[-1] = float(poly[k]) ** (1.0 / self.base.d)
+        out = np.zeros((1, 1, k // self.base.d + 1))
+        out[0, 0, -1] = float(poly[k]) ** (1.0 / self.base.d)
         return out
-
-    def qform_radial_poly(self, e):
-        poly = self._root_poly()
-        if poly is None:
-            return None
-        return float(np.dot(e, e)) * poly
-
-    def exact_cube_integral_many(self, centers, r):
-        poly = self._root_poly()
-        if poly is None:
-            return None
-        return radial_poly_cube_integral_many(poly, centers, r)[:, None, None]
 
     def to_config(self):
         return {"kind": "det_root", "n": self.n, "d": 1, "base": self.base.to_config()}

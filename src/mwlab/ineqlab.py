@@ -462,7 +462,7 @@ class Report:
 
     def document(self) -> dict:
         return {"config": self.config, "results": _to_jsonable(self.results),
-                "rows": self.rows}
+                "rows": _to_jsonable(self.rows)}
 
     def csv_text(self) -> str:
         buf = io.StringIO()

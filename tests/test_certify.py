@@ -259,8 +259,9 @@ class TestReducingMatrix:
         # v_i^2, so N(e_i) = (avg v_i^2)^(1/4) from exact radial moments
         for i, e in enumerate(np.eye(2)):
             poly = diag_poly.entries[i].radial_poly()
-            mom = mw.radial_poly_cube_integral_many(np.convolve(poly, poly),
-                                                    Q.center[None, :], Q.r)[0]
+            coeffs = np.convolve(poly, poly)
+            mom = mw.cube_even_moments_many(Q.center[None, :], Q.r,
+                                            len(coeffs) - 1)[0] @ coeffs
             N = (mom / Q.volume) ** 0.25
             val = np.linalg.norm(R @ e)
             assert N * (1 - 1e-6) <= val <= math.sqrt(2) * N * (1 + 1e-6)

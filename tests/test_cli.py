@@ -1,13 +1,19 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mwlab import cli
 from mwlab import pde
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_EXAMPLES = [line for line in README.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("mwlab ")]
 
 
 def run_cli(args, cwd=None):
@@ -90,6 +96,40 @@ class TestBundles:
         doc = json.loads((tmp_path / "p" / "report.json").read_text())
         ratios = doc["results"]["ratios"]
         assert ratios[0] == pytest.approx(1.0 / 6.0, rel=1e-5)
+
+
+class TestNonFiniteRows:
+    def test_infinite_rows_write_a_complete_bundle(self, tmp_path):
+        # rank one has det W = 0, so every rbm ratio is infinite
+        out = tmp_path / "o"
+        fam = '{"generator":"random","box":8.0,"count":4,"r_min":1.0,"r_max":4.0}'
+        rc = run_cli(["certify", "--class", "rbm", "--weight", "rank-one-radial",
+                      "--family", fam, "--out", str(out)])
+        assert rc == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert "report.json" in manifest and "report.csv" in manifest
+        doc = json.loads((out / "report.json").read_text())
+        values = {row["quantity"]: row["value"] for row in doc["rows"]}
+        assert values["rbm_estimate"] == "inf" and values["rbm_per_cube"] == "inf"
+        csv_rows = (out / "report.csv").read_text().splitlines()
+        assert "certify,rank_one_radial,rbm_estimate,-,inf" in csv_rows
+        assert all(r.endswith(",inf") for r in csv_rows if ",rbm_per_cube," in r)
+
+
+class TestReadmeExamples:
+    """Every `mwlab ...` example line of README.md parses with the real CLI."""
+
+    def test_examples_found(self):
+        assert len(README_EXAMPLES) >= 10
+
+    @pytest.mark.parametrize("line", README_EXAMPLES, ids=lambda l: l.split()[1])
+    def test_example_parses(self, line):
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        assert cli.config_from_args(args).subcommand == argv[0]
 
 
 class TestConfigOnly:

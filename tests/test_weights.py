@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mwlab import certify as cf
+from mwlab import cubature as cb
 from mwlab import weights as mw
 from mwlab.errors import DomainError, NotPSD
 
@@ -156,6 +158,44 @@ class TestMoments:
                     total += wts[i] * wts[j] * wts[k] * (xi ** 2 + yj ** 2 + zk ** 2) ** 2
         total *= r ** 3
         assert M2 == pytest.approx(total, rel=1e-12)
+
+
+# every weight whose closed forms come from radial_table(), built from fixtures
+TABLE_BACKED = {
+    "diag-ordered": lambda get: get("diag_ordered"),
+    "norm-diag": lambda get: mw.NormDiagWeight(base=get("diag_ordered")),
+    "eig-max": lambda get: cf._EigScalarWeight(get("diag_ordered"), "max"),
+    "eig-min": lambda get: cf._EigScalarWeight(get("diag_ordered"), "min"),
+    "det-root": lambda get: cf._DetRootWeight(get("power13")),
+    "power-22": lambda get: mw.PowerWeight(A=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                           gamma=np.array([2.0, 2.0])),
+}
+
+
+class TestRadialTable:
+    @pytest.mark.parametrize("name", sorted(TABLE_BACKED))
+    def test_closed_form_matches_quadrature(self, name, request):
+        W = TABLE_BACKED[name](request.getfixturevalue)
+        table = W.radial_table()
+        assert table is not None and table.shape[:2] == (W.d, W.d)
+        c, r = np.array([0.9, -0.4, 0.6]), 0.7
+        exact = cb.psi(W, c, r, method="exact")
+        quad = cb.psi(W, c, r, method="quadrature")
+        assert np.allclose(exact, quad, rtol=1e-6)
+
+    def test_power_zero_exponents_qform(self):
+        # gamma = 0 makes W the constant A: <W e, e> = <A e, e>, degree 0 in s
+        A = np.array([[3.0, 1.0], [1.0, 2.0]])
+        W = mw.PowerWeight(A=A, gamma=np.zeros(2))
+        e = np.array([0.6, -0.8])
+        q = W.qform_radial_poly(e)
+        assert q is not None and q.shape == (1,)
+        assert q[0] == pytest.approx(float(e @ A @ e), rel=1e-15)
+
+    def test_no_table_without_closed_form(self, power13):
+        assert power13.radial_table() is None
+        assert power13.exact_cube_integral_many(np.zeros((1, 3)), 1.0) is None
+        assert power13.qform_radial_poly(np.array([1.0, 0.0])) is None
 
 
 class TestSerialization:
