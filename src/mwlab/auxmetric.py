@@ -11,9 +11,10 @@ for constant fields in the sup-norm convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,28 +31,6 @@ COARSE_PER_DECADE = 16
 BISECT_RTOL = 1e-8
 
 _KINDS = ("lower", "upper", "directional")
-
-
-@dataclass(frozen=True)
-class AuxQuery:
-    """A single auxiliary-function query (point, criterion kind, bracket)."""
-
-    x: np.ndarray
-    kind: str = "lower"
-    e: Optional[np.ndarray] = None
-    bracket: tuple = R_BRACKET
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown auxiliary kind {self.kind!r}")
-        if self.kind == "directional":
-            if self.e is None:
-                raise ConfigError("directional queries need a unit vector")
-            e = np.asarray(self.e, dtype=float)
-            object.__setattr__(self, "e", e / np.linalg.norm(e))
-        if not (0 < self.bracket[0] < self.bracket[1]):
-            raise ConfigError("bracket must satisfy 0 < r_lo < r_hi")
 
 
 def as_matrix_weight(v) -> MatrixWeight:
@@ -83,9 +62,8 @@ def _criterion_many(W: MatrixWeight, X: np.ndarray, r, kind: str,
         mats = []
         for i in range(X.shape[0]):
             cube = Cube(center=X[i], r=float(rs[i]))
-            total, _ = adaptive_integrate(W.eval_many, cube,
-                                          singular=W.singular_at_origin,
-                                          tol=1e-3, max_level=3, strict=False)
+            total = adaptive_integrate(W.eval_many, cube, singular=W.singular_at_origin,
+                                       tol=1e-3, max_level=3).value
             mats.append(symmetrize(total) * float(rs[i]) ** (2 - n))
         P = np.stack(mats)
     if kind == "lower":
@@ -100,9 +78,7 @@ def _has_exact(W: MatrixWeight) -> bool:
 
 
 def aux_values_many(W, X: np.ndarray, kind: str = "lower",
-                    e: Optional[np.ndarray] = None,
-                    bracket: tuple = R_BRACKET,
-                    rtol: float = BISECT_RTOL) -> np.ndarray:
+                    e: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized auxiliary function over an (M, n) batch of points.
 
     The defining radius is the supremum of the set where the criterion stays
@@ -113,6 +89,8 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
     if W.n < 3:
         raise DomainError("auxiliary functions require ambient dimension >= 3")
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown auxiliary kind {kind!r}")
     if kind == "directional":
         if e is None:
             raise ConfigError("directional queries need a unit vector")
@@ -120,7 +98,7 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
         e = e / np.linalg.norm(e)
     exact = _has_exact(W)
     density = SCAN_PER_DECADE if exact else COARSE_PER_DECADE
-    lo, hi = bracket
+    lo, hi = R_BRACKET
     decades = math.log10(hi / lo)
     ladder = np.geomspace(lo, hi, int(round(decades * density)) + 1)
 
@@ -149,7 +127,7 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
     # quadrature-backed weights keep the ladder's quadrature through bisection:
     # all criterion kinds then see the same deterministic Psi(x, r), which is
     # what makes the lower/directional/upper ordering exact by construction
-    it = int(math.ceil(math.log2(math.log(ladder[1] / ladder[0]) / rtol))) + 2
+    it = int(math.ceil(math.log2(math.log(ladder[1] / ladder[0]) / BISECT_RTOL))) + 2
     for _ in range(it):
         mids = np.sqrt(r_lo * r_hi)
         le = _criterion_many(W, X, mids, kind, e) <= 1.0
@@ -158,21 +136,9 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
     return 1.0 / np.sqrt(r_lo * r_hi)
 
 
-def aux_value(W, x, kind: str = "lower", e: Optional[np.ndarray] = None,
-              bracket: tuple = R_BRACKET) -> float:
-    """Auxiliary function at a single point (lower, upper, or directional)."""
-    W = as_matrix_weight(W)
-    return float(aux_values_many(W, np.asarray(x, dtype=float)[None, :],
-                                 kind=kind, e=e, bracket=bracket)[0])
-
-
-def aux_query(W, query: AuxQuery) -> float:
-    return aux_value(W, query.x, kind=query.kind, e=query.e, bracket=query.bracket)
-
-
-def scalar_aux_value(v, x, bracket: tuple = R_BRACKET) -> float:
-    """m(x, v) for a scalar weight (the one-dimensional criterion)."""
-    return aux_value(as_matrix_weight(v), x, kind="lower", bracket=bracket)
+def aux_value(W, x, kind: str = "lower", e: Optional[np.ndarray] = None) -> float:
+    """Auxiliary function of a matrix or scalar weight at a single point."""
+    return float(aux_values_many(W, np.asarray(x, dtype=float)[None, :], kind=kind, e=e)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +178,11 @@ class BoxGrid:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def index(self, multi) -> int:
-        return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
+        """Flat C-order index of a node; ConfigError when it is off the grid."""
+        multi = tuple(int(i) for i in multi)
+        if len(multi) != self.n or not all(0 <= i <= self.m for i in multi):
+            raise ConfigError(f"node index {list(multi)} is off the grid of shape {self.shape}")
+        return int(np.ravel_multi_index(multi, self.shape))
 
     def node(self, idx: int) -> np.ndarray:
         multi = np.unravel_index(idx, self.shape)
@@ -251,25 +221,8 @@ class DistanceField:
 def aux_field(W, grid: BoxGrid, kind: str = "lower",
               e: Optional[np.ndarray] = None) -> AuxField:
     """Node-wise auxiliary function over a box grid."""
-    W = as_matrix_weight(W)
     vals = aux_values_many(W, grid.nodes(), kind=kind, e=e)
     return AuxField(grid=grid, values=vals, kind=kind)
-
-
-def _stencil_offsets(n: int):
-    ranges = [(-1, 0, 1)] * n
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for v in ranges[len(prefix)]:
-            rec(prefix + [v])
-
-    rec([])
-    return out
 
 
 def agmon_field(field: AuxField, source, norm: str = "linf") -> DistanceField:
@@ -288,9 +241,9 @@ def agmon_field(field: AuxField, source, norm: str = "linf") -> DistanceField:
     vals = field.values.reshape(shape)
     rows, cols, costs = [], [], []
     idx = np.arange(grid.size).reshape(shape)
-    for off in _stencil_offsets(grid.n):
-        # visit each undirected edge once
-        if off < tuple([0] * grid.n):
+    for off in itertools.product((-1, 0, 1), repeat=grid.n):
+        # visit each undirected edge once; the zero offset is no edge
+        if off <= (0,) * grid.n:
             continue
         src_sl = tuple(slice(None, -1) if o == 1 else slice(1, None) if o == -1
                        else slice(None) for o in off)

@@ -155,8 +155,8 @@ def _avg(W: MatrixWeight, cube: Cube, tol: float) -> np.ndarray:
     exact = W.exact_cube_integral_many(cube.center[None, :], cube.r)
     if exact is not None:
         return symmetrize(exact[0]) / cube.volume
-    total, _ = adaptive_integrate(W.eval_many, cube, singular=W.singular_at_origin,
-                                  tol=tol, max_level=CERT_MAX_LEVEL + 1, strict=False)
+    total = adaptive_integrate(W.eval_many, cube, singular=W.singular_at_origin,
+                               tol=tol, max_level=CERT_MAX_LEVEL + 1).value
     return symmetrize(np.atleast_2d(total.reshape(W.d, W.d))) / cube.volume
 
 
@@ -212,14 +212,13 @@ def _directional_p_integrals(W: MatrixWeight, cube: Cube, dirs: np.ndarray,
         q = np.einsum("mij,ki,kj->mk", vals, dirs, dirs)
         return np.clip(q, 0.0, None) ** p
 
-    integ, converged, growth = adaptive_integrate(
-        fn, cube, singular=W.singular_at_origin, tol=tol,
-        max_level=CERT_MAX_LEVEL, strict=False, return_growth=True)
-    if not converged and growth > DIVERGENCE_GROWTH:
+    res = adaptive_integrate(fn, cube, singular=W.singular_at_origin, tol=tol,
+                             max_level=CERT_MAX_LEVEL)
+    if not res.converged and res.growth > DIVERGENCE_GROWTH:
         # refinements keep growing: the p-th power is not integrable on this
         # cube and the honest average is infinite
         return np.full(len(dirs), np.inf)
-    return integ / cube.volume
+    return res.value / cube.volume
 
 
 def _bp_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int,
@@ -286,9 +285,8 @@ def _log_det_average(W: MatrixWeight, cube: Cube, tol: float) -> float:
         out = np.log(dets)
         return np.nan_to_num(out, nan=0.0)
 
-    integ, _ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
-                                  tol=max(tol, 1e-3), max_level=CERT_MAX_LEVEL,
-                                  strict=False)
+    integ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
+                               tol=max(tol, 1e-3), max_level=CERT_MAX_LEVEL).value
     return float(integ / cube.volume)
 
 
@@ -318,8 +316,8 @@ def _rbm_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
             raise DomainError("negative determinant at a quadrature node")
         return dets ** (1.0 / W.d)
 
-    integ, _ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
-                                  tol=tol, max_level=CERT_MAX_LEVEL, strict=False)
+    integ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
+                               tol=tol, max_level=CERT_MAX_LEVEL).value
     rhs = float(integ / cube.volume)
     if rhs <= 1e-300:
         return math.inf
@@ -365,8 +363,8 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
         roots = sqrt_psd(W.eval_many(X))
         return np.einsum("mij,jk,mkl->mil", roots, B, roots)
 
-    total, _ = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
-                                  tol=tol, max_level=CERT_MAX_LEVEL, strict=False)
+    total = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
+                               tol=tol, max_level=CERT_MAX_LEVEL).value
     return float(np.linalg.eigvalsh(symmetrize(total))[0])
 
 

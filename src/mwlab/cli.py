@@ -155,7 +155,7 @@ POLE_FLAG = ("--pole", dict(dest="params.pole", type=_list(int), help=POLE_HELP)
 def stage_certify(cfg: ExperimentConfig, out: Bundle) -> None:
     """run a class certifier over a cube family"""
     W = weights.from_config(cfg.weight)
-    fam = cubature.CubeFamily(**cfg.family) if cfg.family else cubature.CubeFamily(count=16)
+    fam = cubature.CubeFamily.from_config(cfg.family or {"count": 16})
     cfg.family = fam.to_config()
     cls = cfg.params.get("class")
     p = float(cfg.params.get("p", 2.0))
@@ -227,9 +227,9 @@ def stage_agmon(cfg: ExperimentConfig, out: Bundle) -> None:
     grid = _boxgrid(cfg)
     kind = cfg.params.get("kind", "lower")
     norm = cfg.params.get("norm", "linf")
-    src = cfg.params.get("source") or [grid.m // 2] * grid.n
+    src = grid.index(cfg.params.get("source") or [grid.m // 2] * grid.n)
     fld = auxmetric.aux_field(weights.from_config(cfg.weight), grid, kind=kind)
-    dist = auxmetric.agmon_field(fld, tuple(int(s) for s in src), norm=norm)
+    dist = auxmetric.agmon_field(fld, src, norm=norm)
     out.add_result("kind", kind)
     out.add_result("norm", norm)
     out.add_result("max_distance", float(dist.values.max()))
@@ -470,9 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _typed(flag: str, kwargs: dict, value):
+    """A string through the flag's ``type``, as argparse passes one."""
+    if not (isinstance(value, str) and "type" in kwargs):
+        return value
+    try:
+        return kwargs["type"](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} {value!r}: {exc}") from exc
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Each config field from its explicit flag, else the config file, else
-    the flag's default."""
+    the flag's default.  A file value gets the checks of its flag: a string
+    goes through the flag's type, and a flag with choices admits only those."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -489,15 +500,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for flag, kwargs in COMMON_FLAGS + STAGES[sub].flags:
         dest = kwargs.get("dest", flag.lstrip("-"))
         key = dest[len("params."):] if dest.startswith("params.") else dest
-        in_file = key in (base.get("params", {}) if dest.startswith("params.") else base)
+        section = base.get("params", {}) if dest.startswith("params.") else base
         if dest in given:
             value = given[dest]
-        elif in_file or kwargs.get("default") is None:
+        elif key in section:
+            value = _typed(flag, kwargs, section[key])
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                raise ConfigError(f"{key} {value!r} in {args.config}: choose from "
+                                  f"{', '.join(kwargs['choices'])}")
+            if value is section[key]:
+                continue  # the value stands as the file gave it
+        elif kwargs.get("default") is None:
             continue
-        else:  # argparse passes a string default through the flag's type
-            value = kwargs["default"]
-            if isinstance(value, str) and "type" in kwargs:
-                value = kwargs["type"](value)
+        else:
+            value = _typed(flag, kwargs, kwargs["default"])
         if dest.startswith("params."):
             cfg.params[key] = value
         else:

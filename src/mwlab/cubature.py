@@ -4,16 +4,18 @@ inequalities.
 
 All averaging in the laboratory happens over axis-aligned cubes Q(x, r)
 with center x and half-side r (side length 2r).  The quadrature engine is a
-composite tensor rule refined adaptively until two successive levels agree;
-the exact even-moment integrals in :mod:`mwlab.weights` serve as an
-independent cross-check, never as part of this code path.
+composite tensor rule refined adaptively until two successive levels agree.
+The closed-form cube integrals of :mod:`mwlab.weights` are a second route:
+``psi(method="exact")`` and ``psi_many`` use them, and the tests check them
+against the quadrature.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,68 +132,58 @@ def integrate_fields(fn: Callable[[np.ndarray], np.ndarray], cube: Cube,
     return acc
 
 
-def _pick_rule(W_singular: bool, cube: Cube, level: int, scheme: Optional[str]) -> QuadratureRule:
+class Integral(NamedTuple):
+    """An adaptive cube integral: the value at the last level, whether two
+    successive levels agreed, and their magnitude ratio (a ratio staying above
+    1 signals a divergent integrand)."""
+
+    value: np.ndarray
+    converged: bool
+    growth: float
+
+
+def adaptive_integrate(fn, cube: Cube, *, singular: bool = False, tol: float = QUAD_TOL,
+                       max_level: int = MAX_LEVEL) -> Integral:
+    """Refine the tensor rule from level 1 until two successive levels agree
+    to ``tol``; at ``max_level`` the last level is returned unconverged."""
     # Cell-centered midpoint nodes never touch the origin on origin-covering
     # cubes, which is what integrable singularities need.
-    if scheme is None:
-        if W_singular and cube.contains_origin():
-            return QuadratureRule(level=max(level, 1), scheme="midpoint-tensor")
-        return QuadratureRule(level=level, scheme="gauss-legendre-tensor")
-    return QuadratureRule(level=level, scheme=scheme)
-
-
-def adaptive_integrate(fn, cube: Cube, *, singular: bool = False,
-                       scheme: Optional[str] = None, tol: float = QUAD_TOL,
-                       max_level: int = MAX_LEVEL, start_level: int = 1,
-                       strict: bool = True, return_growth: bool = False):
-    """Refine the tensor rule until two successive levels agree to ``tol``.
-
-    Returns (value, converged), and with ``return_growth`` also the final
-    level-to-level magnitude ratio (a ratio staying above 1 signals a
-    divergent integrand).  With strict=True a disagreement at ``max_level``
-    raises QuadratureNonConvergence.
-    """
+    scheme = "midpoint-tensor" if singular and cube.contains_origin() else "gauss-legendre-tensor"
     prev = None
     growth = 1.0
-    for level in range(start_level, max_level + 1):
-        rule = _pick_rule(singular, cube, level, scheme)
-        val = integrate_fields(fn, cube, rule)
+    for level in range(1, max_level + 1):
+        val = integrate_fields(fn, cube, QuadratureRule(level=level, scheme=scheme))
         if prev is not None:
             num = np.max(np.abs(val - prev))
             den = max(np.max(np.abs(val)), 1e-300)
             growth = np.max(np.abs(val)) / max(np.max(np.abs(prev)), 1e-300)
             if num <= tol * den:
-                return (val, True, growth) if return_growth else (val, True)
+                return Integral(val, True, growth)
         prev = val
-    if strict:
-        raise QuadratureNonConvergence(
-            f"quadrature did not stabilize to {tol:g} by level {max_level} "
-            f"on cube center={cube.center}, r={cube.r}")
-    return (prev, False, growth) if return_growth else (prev, False)
+    return Integral(prev, False, growth)
 
 
-def average(W: MatrixWeight, Q: Cube, rule: Optional[QuadratureRule] = None,
-            tol: float = QUAD_TOL, max_level: int = MAX_LEVEL) -> np.ndarray:
+def average(W: MatrixWeight, Q: Cube, tol: float = QUAD_TOL,
+            max_level: int = MAX_LEVEL) -> np.ndarray:
     """Mean of the matrix weight over the cube (the barred integral).
 
-    With an explicit rule the single-level tensor sum is returned; otherwise
-    the level adapts until successive refinements agree to ``tol`` relative.
+    The level adapts until successive refinements agree to ``tol`` relative;
+    QuadratureNonConvergence when they still disagree at ``max_level``.
     """
-    if rule is not None:
-        total = integrate_fields(W.eval_many, Q, rule)
-    else:
-        total, _ = adaptive_integrate(W.eval_many, Q, singular=W.singular_at_origin,
-                                      tol=tol, max_level=max_level)
-    return symmetrize(total) / Q.volume
+    res = adaptive_integrate(W.eval_many, Q, singular=W.singular_at_origin,
+                             tol=tol, max_level=max_level)
+    if not res.converged:
+        raise QuadratureNonConvergence(
+            f"quadrature did not stabilize to {tol:g} by level {max_level} "
+            f"on cube center={Q.center}, r={Q.r}")
+    return symmetrize(res.value) / Q.volume
 
 
-def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature",
-        tol: float = QUAD_TOL, max_level: int = MAX_LEVEL) -> np.ndarray:
+def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature") -> np.ndarray:
     """Scale-weighted cube average r^(2-n) * int_{Q(x,r)} W.
 
-    ``method`` selects the route: "quadrature" (the contract), "exact"
-    (closed-form cube integrals, available for the polynomial catalog), or
-    "auto" (exact when available, quadrature otherwise).
+    ``method`` selects the route: "quadrature" (the contract) or "exact"
+    (closed-form cube integrals, available for the polynomial catalog).
     """
     x = np.asarray(x, dtype=float)
     n = W.n
@@ -199,14 +191,15 @@ def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature",
         raise DomainError("scale-weighted averages require ambient dimension >= 3")
     if r <= 0:
         raise DomainError("radius must be positive")
-    if method in ("exact", "auto"):
+    if method == "exact":
         exact = W.exact_cube_integral(x, r)
-        if exact is not None:
-            return symmetrize(exact) * r ** (2 - n)
-        if method == "exact":
+        if exact is None:
             raise ConfigError("no closed-form cube integral for this weight")
+        return symmetrize(exact) * r ** (2 - n)
+    if method != "quadrature":
+        raise ConfigError(f"unknown psi method {method!r}")
     Q = Cube(center=x, r=r)
-    return average(W, Q, tol=tol, max_level=max_level) * Q.volume * r ** (2 - n)
+    return average(W, Q) * Q.volume * r ** (2 - n)
 
 
 def psi_many(W: MatrixWeight, X: np.ndarray, r) -> Optional[np.ndarray]:
@@ -272,7 +265,7 @@ class CubeFamily:
             if self.generator == "dyadic":
                 m = max(1, int(self.box // r))
                 centers = [(-self.box + (2 * i + 1) * r) for i in range(m)]
-                grid = [np.array(c) for c in _lattice(centers, self.n)]
+                grid = [np.array(c) for c in itertools.product(centers, repeat=self.n)]
                 stride = max(1, len(grid) // per_level)
                 out.extend(Cube(center=g, r=r) for g in grid[::stride][:per_level])
             else:
@@ -296,13 +289,10 @@ class CubeFamily:
 
     @staticmethod
     def from_config(cfg: dict) -> "CubeFamily":
+        unknown = sorted(set(cfg) - {f.name for f in fields(CubeFamily)})
+        if unknown:
+            raise ConfigError(f"unknown cube family keys {unknown}")
         return CubeFamily(**cfg)
-
-
-def _lattice(centers_1d, n):
-    if n == 1:
-        return [(c,) for c in centers_1d]
-    return [(c, *rest) for c in centers_1d for rest in _lattice(centers_1d, n - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +353,7 @@ def check_matrix_jensen(W: MatrixWeight, Q: Cube, tol: float = QUAD_TOL):
                               "a positive definite weight")
         return np.log(dets)
 
-    integ, _ = adaptive_integrate(logdets, Q, singular=W.singular_at_origin,
-                                  tol=tol, strict=False)
+    integ = adaptive_integrate(logdets, Q, singular=W.singular_at_origin, tol=tol).value
     rhs = float(np.exp(integ / Q.volume))
     return lhs, rhs, bool(lhs >= rhs * (1.0 - tol))
 

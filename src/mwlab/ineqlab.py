@@ -82,8 +82,7 @@ def poincare_ratio(W: MatrixWeight, Q: Cube, u: TestFunction,
         return np.concatenate([S.reshape(X.shape[0], -1), Su, c[:, None]], axis=1)
 
     d = W.d
-    integ, _ = adaptive_integrate(moments, Q, singular=W.singular_at_origin,
-                                  tol=tol, strict=False)
+    integ = adaptive_integrate(moments, Q, singular=W.singular_at_origin, tol=tol).value
     T = integ[: d * d].reshape(d, d)
     tau = integ[d * d: d * d + d]
     c = float(integ[-1])
@@ -94,16 +93,13 @@ def poincare_ratio(W: MatrixWeight, Q: Cube, u: TestFunction,
         cross = ux @ tau
         return quad - 2.0 * cross + c
 
-    lhs_int, _ = adaptive_integrate(outer, Q, singular=W.singular_at_origin,
-                                    tol=tol, strict=False)
-    lhs = float(lhs_int)
+    lhs = float(adaptive_integrate(outer, Q, singular=W.singular_at_origin, tol=tol).value)
 
     def energy(X):
         g = u.grad(X)
         return np.einsum("mdn,mdn->m", g, g)
 
-    rhs_int, _ = adaptive_integrate(energy, Q, tol=tol, strict=False)
-    rhs = Q.volume ** (2.0 / n) * float(rhs_int)
+    rhs = Q.volume ** (2.0 / n) * float(adaptive_integrate(energy, Q, tol=tol).value)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs

@@ -64,8 +64,8 @@ class Grid3:
         return np.stack([c.ravel() for c in g], axis=-1)
 
     def index(self, multi) -> int:
-        i, j, k = (int(v) for v in multi)
-        return (i * self.N + j) * self.N + k
+        """Flat C-order index of a node; ConfigError when it is off the grid."""
+        return self.to_boxgrid().index(multi)
 
     def node(self, idx: int) -> np.ndarray:
         ax = self.axis
@@ -88,10 +88,7 @@ class DiscreteOperator:
     d: int
     matrix: sparse.csr_matrix
     potential_blocks: np.ndarray       # (size, d, d) node samples of V
-    leading: sparse.csr_matrix         # kron(scalar stencil, I_d)
     boundary_faces: list               # (axis, side, node_ids, face_coeff) tuples
-    lam: float
-    Lam: float
     weight: Optional[MatrixWeight] = None
 
     @property
@@ -197,8 +194,7 @@ def assemble(W: Optional[MatrixWeight], a_field: Optional[Callable], grid: Grid3
     matrix = (leading + pot).tocsr()
     matrix.sum_duplicates()
     return DiscreteOperator(grid=grid, d=d, matrix=matrix, potential_blocks=blocks,
-                            leading=leading, boundary_faces=boundary_faces,
-                            lam=lam, Lam=Lam, weight=W)
+                            boundary_faces=boundary_faces, weight=W)
 
 
 def solve(op: DiscreteOperator, rhs: np.ndarray, tol: float = SOLVE_TOL) -> np.ndarray:

@@ -619,15 +619,22 @@ def det_radial_poly(W: MatrixWeight) -> Optional[np.ndarray]:
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
+def _field(cfg: dict, key: str):
+    """``cfg[key]``, or a ConfigError naming the descriptor's kind and the key."""
+    if key not in cfg:
+        raise ConfigError(f"weight descriptor of kind {cfg.get('kind')!r} lacks {key!r}")
+    return cfg[key]
+
+
 def scalar_from_config(cfg: dict) -> ScalarWeight:
     kind = cfg.get("kind")
     n = int(cfg.get("n", 3))
     if kind == "constant_scalar":
-        return ConstantScalar(c=float(cfg["c"]), n=n)
+        return ConstantScalar(c=float(_field(cfg, "c")), n=n)
     if kind == "power_scalar":
-        return PowerScalar(gamma=float(cfg["gamma"]), a=float(cfg.get("a", 1.0)), n=n)
+        return PowerScalar(gamma=float(_field(cfg, "gamma")), a=float(cfg.get("a", 1.0)), n=n)
     if kind == "poly_scalar":
-        return PolyScalar(coeffs=tuple(cfg["coeffs"]), n=n)
+        return PolyScalar(coeffs=tuple(_field(cfg, "coeffs")), n=n)
     raise ConfigError(f"unknown scalar weight kind: {kind!r}")
 
 
@@ -636,16 +643,17 @@ def from_config(cfg: dict) -> MatrixWeight:
     kind = cfg.get("kind")
     n = int(cfg.get("n", 3))
     if kind == "constant":
-        return ConstantWeight(mat=np.asarray(cfg["mat"], dtype=float), n=n)
+        return ConstantWeight(mat=np.asarray(_field(cfg, "mat"), dtype=float), n=n)
     if kind == "scalar_diag":
-        return ScalarDiagWeight(entries=tuple(scalar_from_config(e) for e in cfg["entries"]), n=n)
+        return ScalarDiagWeight(entries=tuple(scalar_from_config(e)
+                                              for e in _field(cfg, "entries")), n=n)
     if kind == "power":
-        return PowerWeight(A=np.asarray(cfg["A"], dtype=float),
-                           gamma=np.asarray(cfg["gamma"], dtype=float), n=n)
+        return PowerWeight(A=np.asarray(_field(cfg, "A"), dtype=float),
+                           gamma=np.asarray(_field(cfg, "gamma"), dtype=float), n=n)
     if kind == "polynomial_psd":
-        return PolynomialPSDWeight(table=np.asarray(cfg["table"], dtype=float), n=n)
+        return PolynomialPSDWeight(table=np.asarray(_field(cfg, "table"), dtype=float), n=n)
     if kind == "rank_one_radial":
         return RankOneRadialWeight(n=n)
     if kind == "norm_diag":
-        return NormDiagWeight(base=from_config(cfg["base"]))
+        return NormDiagWeight(base=from_config(_field(cfg, "base")))
     raise ConfigError(f"unknown weight kind: {kind!r}")

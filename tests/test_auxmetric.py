@@ -29,7 +29,7 @@ class TestAuxValues:
     def test_scalar_square_closed_form(self):
         # Psi(0, r; |x|^2) = 2^n r^4 n/3, so the crossing is (2^n n/3)^(-1/4)
         v = mw.PolyScalar((0.0, 1.0))
-        got = am.scalar_aux_value(v, [0.0, 0.0, 0.0])
+        got = am.aux_value(v, [0.0, 0.0, 0.0])
         assert got == pytest.approx(8.0 ** 0.25, rel=1e-8)
 
     def test_directional_between_bounds(self, rank_one, rng):
@@ -53,10 +53,11 @@ class TestAuxValues:
             am.aux_value(W, [0.0, 0.0], "lower")
 
     def test_query_object(self, identity2):
-        q = am.AuxQuery(x=np.zeros(3), kind="upper")
-        assert am.aux_query(identity2, q) == pytest.approx(SQRT8, rel=1e-8)
+        # the checks of a query: a directional one needs e, and the kind is known
         with pytest.raises(ConfigError):
-            am.AuxQuery(x=np.zeros(3), kind="directional")
+            am.aux_value(identity2, np.zeros(3), "directional")
+        with pytest.raises(ConfigError):
+            am.aux_value(identity2, np.zeros(3), kind="middle")
 
 
 class TestDiagonalReduction:

@@ -41,6 +41,51 @@ class TestExitCodes:
                       "--kind", "upper", "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    # inputs a flag check rejects: config-file values, a weight file, grid indices
+    BAD_INPUTS = {
+        "file-weight-unknown-name": {"config": {"subcommand": "aux", "weight": "no-such"}},
+        "file-kind-not-a-choice": {"config": {"subcommand": "aux", "grid": {"L": 1.0, "m": 2},
+                                              "params": {"kind": "middle"}}},
+        "file-family-unknown-key": {"config": {
+            "subcommand": "certify", "params": {"class": "nd"},
+            "family": {"generator": "dyadic", "boxx": 4.0}}},
+        "file-scale-not-a-choice": {"config": {"subcommand": "all",
+                                               "params": {"scale": "bogus", "budget": 0.0}}},
+        "weight-file-missing-field": {"weight": {"kind": "constant", "n": 3, "d": 2},
+                                      "argv": ["aux", "--grid", "1.0,2"]},
+        "green-pole-past-the-grid": {"argv": ["green", "--grid", "13,2.0", "--pole", "20,0,0"]},
+        "green-pole-negative": {"argv": ["green", "--pole", "6,6,-1"]},
+        "agmon-source-past-the-grid": {"argv": ["agmon", "--grid", "1.0,4",
+                                                "--source", "9,9,9"]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_config_error(self, case, tmp_path, capsys):
+        spec = self.BAD_INPUTS[case]
+        argv = list(spec.get("argv", []))
+        if "weight" in spec:
+            wpath = tmp_path / "w.json"
+            wpath.write_text(json.dumps(spec["weight"]))
+            argv += ["--weight", str(wpath)]
+        if "config" in spec:
+            cpath = tmp_path / "cfg.json"
+            cpath.write_text(json.dumps({**spec["config"], "out": str(tmp_path / "o")}))
+            argv = ["--config", str(cpath)] + argv
+        else:
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli.run(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_file_string_goes_through_the_flag_type(self, tmp_path):
+        # a builtin name in the file resolves as it does after --weight
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({"subcommand": "aux", "weight": "diag-poly",
+                                     "grid": "1.0,2", "out": str(tmp_path / "o")}))
+        assert cli.run(["--config", str(cpath)]) == 0
+        cfg = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+        assert cfg["weight"] == cli.BUILTIN_WEIGHTS["diag-poly"]
+        assert cfg["grid"] == {"L": 1.0, "m": 2}
+
 
 class TestBundles:
     def test_certify_writes_bundle(self, tmp_path):

@@ -17,6 +17,22 @@ def cube(center, r):
     return cb.Cube(center=np.asarray(center, dtype=float), r=r)
 
 
+class Spiky(mw.MatrixWeight):
+    """|y - a|^(-2.5) near an off-node point a: no level up to 3 agrees to 1e-10."""
+
+    n, d = 3, 1
+    singular_at_origin = False
+    a = np.array([0.1234, 0.2345, 0.0456])
+
+    def eval_many(self, X):
+        X = np.atleast_2d(X)
+        v = 1.0 / np.maximum(np.linalg.norm(X - self.a, axis=1), 1e-300) ** 2.5
+        return v[:, None, None]
+
+    def to_config(self):
+        return {"kind": "spiky", "n": 3, "d": 1}
+
+
 class TestAverage:
     def test_constant_field(self, identity2):
         got = cb.average(identity2, cube([0.3, -1.0, 2.0], 0.7))
@@ -85,28 +101,34 @@ class TestQuadratureEngine:
         assert np.isfinite(got[0, 0]) and got[0, 0] > 0
 
     def test_nonconvergence_is_loud(self):
-        a = np.array([0.1234, 0.2345, 0.0456])
-
-        class Spiky(mw.MatrixWeight):
-            n, d = 3, 1
-            singular_at_origin = False
-
-            def eval_many(self, X):
-                X = np.atleast_2d(X)
-                v = 1.0 / np.maximum(np.linalg.norm(X - a, axis=1), 1e-300) ** 2.5
-                return v[:, None, None]
-
-            def to_config(self):
-                return {"kind": "spiky", "n": 3, "d": 1}
-
-        with pytest.raises(QuadratureNonConvergence):
+        with pytest.raises(QuadratureNonConvergence, match="by level 3"):
             cb.average(Spiky(), cube([0, 0, 0], 1.0), tol=1e-10, max_level=3)
 
     def test_explicit_rule_levels(self, identity2):
         rule = cb.QuadratureRule(level=2, scheme="midpoint-tensor")
         assert rule.nodes_per_axis() == 4
-        got = cb.average(identity2, cube([0, 0, 0], 1.0), rule=rule)
+        Q = cube([0, 0, 0], 1.0)
+        got = cb.integrate_fields(identity2.eval_many, Q, rule) / Q.volume
         assert np.allclose(got, np.eye(2))
+
+
+class TestIntegralRecord:
+    def test_converged_flag_is_index_1(self, identity2):
+        # the tracing hook of perfbench reads the flag as result[1]
+        res = cb.adaptive_integrate(identity2.eval_many, cube([0, 0, 0], 1.0))
+        assert isinstance(res, cb.Integral)
+        assert res[1] is res.converged and res.converged is True
+        assert np.allclose(res.value, 8.0 * np.eye(2))
+
+    def test_unconverged_is_returned_not_raised(self):
+        res = cb.adaptive_integrate(Spiky().eval_many, cube([0, 0, 0], 1.0),
+                                    tol=1e-10, max_level=3)
+        assert res.converged is False
+        assert np.all(np.isfinite(res.value)) and res.growth > 0
+
+    def test_psi_rejects_unknown_method(self, identity2):
+        with pytest.raises(ConfigError):
+            cb.psi(identity2, [0.0, 0.0, 0.0], 1.0, method="auto")
 
 
 class TestDeterminantLemmas:
@@ -209,3 +231,7 @@ class TestCubeFamily:
                             r_min=0.5, r_max=4.0)
         fam2 = cb.CubeFamily.from_config(fam.to_config())
         assert [c.key() for c in fam.cubes()] == [c.key() for c in fam2.cubes()]
+
+    def test_unknown_key_is_config_error(self):
+        with pytest.raises(ConfigError, match="boxx"):
+            cb.CubeFamily.from_config({"generator": "dyadic", "boxx": 4.0})

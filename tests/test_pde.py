@@ -32,6 +32,17 @@ class TestGrid:
         with pytest.raises(ConfigError):
             pde.Grid3(L=1.0, N=5)
 
+    def test_index_is_c_order(self, grid13):
+        assert grid13.index((2, 5, 7)) == (2 * 13 + 5) * 13 + 7
+        assert grid13.index([12, 12, 12]) == grid13.size - 1
+
+    @pytest.mark.parametrize("multi", [(20, 0, 0), (6, 6, -1), (13, 0, 0), (6, 6), (1, 2, 3, 4)])
+    def test_index_off_the_grid_is_config_error(self, grid13, multi):
+        with pytest.raises(ConfigError):
+            grid13.index(multi)
+        with pytest.raises(ConfigError):
+            grid13.to_boxgrid().index(multi)
+
 
 class TestAssemble:
     def test_laplacian_row_sums_vanish_inside(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mwlab import certify as cf
 from mwlab import cubature as cb
 from mwlab import weights as mw
-from mwlab.errors import DomainError, NotPSD
+from mwlab.errors import ConfigError, DomainError, NotPSD
 
 
 def random_points(rng, count, scale=5.0):
@@ -219,3 +219,14 @@ class TestSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(Exception):
             mw.from_config({"kind": "nope"})
+
+    @pytest.mark.parametrize("cfg, kind, key", [
+        ({"kind": "constant", "n": 3, "d": 2}, "constant", "mat"),
+        ({"kind": "power", "n": 3, "d": 2, "A": [[1.0, 0.0], [0.0, 1.0]]}, "power", "gamma"),
+        ({"kind": "norm_diag"}, "norm_diag", "base"),
+        ({"kind": "scalar_diag", "entries": [{"kind": "poly_scalar"}]},
+         "poly_scalar", "coeffs"),
+    ])
+    def test_missing_field_names_kind_and_key(self, cfg, kind, key):
+        with pytest.raises(ConfigError, match=f"'{kind}'.*'{key}'"):
+            mw.from_config(cfg)
