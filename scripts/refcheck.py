@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Run the reference invocations of the lab and check that their outputs
+stay byte for byte the same.
+
+The reference set is the 15 CLI bundles below and two ``cross_checks``
+dumps (power-13 and rank-one on the fixed families of the ``certify-quad``
+benchmark workload).  Every run is its own subprocess with BLAS at one
+thread, started inside the output root with a relative ``--out``.
+
+    python3 scripts/refcheck.py                 # sha256 per output file
+    python3 scripts/refcheck.py --against REV   # compare with revision REV
+
+With ``--against``, REV is exported with ``git archive`` into a temporary
+directory and both trees run the same set.  Each differing file is named on
+one line: with its first differing row for a CSV, with the differing key
+paths for a JSON file (``config.out`` aside), and as bytes otherwise.  The
+exit status is 0 only when nothing differs.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_RANDOM_FAMILY = '{"generator": "random", "box": 4, "count": 2, "r_min": 1, "r_max": 2}'
+_DYADIC_FAMILY = '{"generator": "dyadic", "box": 4, "count": 9, "r_min": 1, "r_max": 2}'
+
+INVOCATIONS = (
+    ("all_quick", ["all", "--scale", "quick", "--seed", "3"]),
+    ("certify_nd_rank_one", ["certify", "--class", "nd", "--weight", "rank-one-radial"]),
+    ("certify_bp_rank_one", ["certify", "--class", "bp", "--p", "2",
+                             "--weight", "rank-one-radial", "--seed", "11"]),
+    ("aux_diag_poly_upper", ["aux", "--weight", "diag-poly", "--grid", "1.0,6",
+                             "--kind", "upper"]),
+    ("aux_diag_ordered", ["aux", "--weight", "diag-ordered", "--grid", "1.5,6"]),
+    ("agmon_diag_poly", ["agmon", "--weight", "diag-poly", "--grid", "1.0,6",
+                         "--source", "3,3,3", "--norm", "l2"]),
+    ("green_diag_poly", ["green", "--weight", "diag-poly", "--grid", "13,2.0"]),
+    ("landscape_diag_poly", ["landscape", "--weight", "diag-poly", "--grid", "13,2.0",
+                             "--probes", "2"]),
+    ("fp_identity", ["fp", "--weight", "identity", "--grid", "1.0,6", "--form", "norm",
+                     "--count", "2"]),
+    ("poincare_identity", ["poincare", "--weight", "identity", "--cube", "0,0,0,1"]),
+    ("counterexample", ["counterexample", "--R", "5,10"]),
+    *((f"cross_{w}", ["certify", "--class", "cross", "--weight", w,
+                      "--family", _RANDOM_FAMILY])
+      for w in ("diag-poly", "diag-ordered", "power-13")),
+    ("cross_identity", ["certify", "--class", "cross", "--weight", "identity",
+                        "--family", _DYADIC_FAMILY]),
+)
+
+# cross_checks(W, 2.0, family) on the families of the certify-quad workload
+CROSS_DUMPS = (
+    ("cross_checks_power13.json", "power-13",
+     {"generator": "random", "box": 4.0, "count": 2, "r_min": 1.0, "r_max": 2.0}),
+    ("cross_checks_rank_one.json", "rank-one-radial",
+     {"generator": "random", "box": 8.0, "count": 4, "r_min": 1.0, "r_max": 4.0}),
+)
+
+_DUMP = """
+import json, sys
+from mwlab import certify, cli, cubature, weights
+W = weights.from_config(cli.BUILTIN_WEIGHTS[sys.argv[2]])
+res = certify.cross_checks(W, 2.0, cubature.CubeFamily(**json.loads(sys.argv[3])))
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(res, fh, indent=1, sort_keys=True)
+"""
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run_tree(tree: Path, out: Path) -> None:
+    """Write every reference output of the source tree ``tree`` under ``out``.
+
+    A run's exit status goes into ``<name>.exit``, so a run that starts
+    failing on one side shows up as a difference too.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    env = _env(tree / "src")
+    jobs = [(name, [sys.executable, "-m", "mwlab.cli", *argv, "--out", name])
+            for name, argv in INVOCATIONS]
+    jobs += [(name, [sys.executable, "-c", _DUMP, name, weight, json.dumps(fam)])
+             for name, weight, fam in CROSS_DUMPS]
+    for name, cmd in jobs:
+        proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+        (out / f"{name}.exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
+        if proc.returncode:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            print(f"{tree.name}: {name} exited {proc.returncode}: {last}", file=sys.stderr)
+
+
+def _files(root: Path) -> set:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def _json_paths(a, b, path: str = "") -> list:
+    """Key paths at which two parsed JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(set(a) | set(b)):
+            sub = f"{path}.{k}" if path else str(k)
+            out += _json_paths(a[k], b[k], sub) if k in a and k in b else [sub]
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _json_paths(x, y, f"{path}[{i}]")]
+    return [] if json.dumps(a) == json.dumps(b) else [path or "$"]
+
+
+def _drop_out(doc):
+    if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
+        doc["config"].pop("out", None)
+    return doc
+
+
+def _describe(rel: str, a: Path, b: Path):
+    """One line on how two versions of a file differ, or None when they agree."""
+    if rel.endswith(".json"):
+        paths = _json_paths(*(_drop_out(json.loads(p.read_text(encoding="utf-8")))
+                              for p in (a, b)))
+        return f"{rel}: differs at {', '.join(paths)}" if paths else None
+    da, db = a.read_bytes(), b.read_bytes()
+    if da == db:
+        return None
+    if rel.endswith(".csv"):
+        ra, rb = da.decode().splitlines(), db.decode().splitlines()
+        for i in range(max(len(ra), len(rb))):
+            x = ra[i] if i < len(ra) else "<none>"
+            y = rb[i] if i < len(rb) else "<none>"
+            if x != y:
+                return f"{rel}: row {i + 1}: {x!r} != {y!r}"
+    return f"{rel}: bytes differ"
+
+
+def compare(dir_a: Path, dir_b: Path) -> list:
+    """One line per file that differs between two output roots."""
+    fa, fb = _files(Path(dir_a)), _files(Path(dir_b))
+    lines = [f"{rel}: only in {dir_a if rel in fa else dir_b}"
+             for rel in sorted(fa ^ fb)]
+    for rel in sorted(fa & fb):
+        line = _describe(rel, Path(dir_a) / rel, Path(dir_b) / rel)
+        if line:
+            lines.append(line)
+    return lines
+
+
+def _export(rev: str, dest: Path) -> None:
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0],
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--against", metavar="REV",
+                    help="git revision to compare this tree with")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="refcheck-") as tmp:
+        tmp = Path(tmp)
+        run_tree(ROOT, tmp / "this")
+        if args.against is None:
+            for rel in sorted(_files(tmp / "this")):
+                digest = hashlib.sha256((tmp / "this" / rel).read_bytes()).hexdigest()
+                print(f"{digest}  {rel}")
+            return 0
+        _export(args.against, tmp / "tree")
+        run_tree(tmp / "tree", tmp / "other")
+        lines = compare(tmp / "other", tmp / "this")
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} differing file(s) against {args.against}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,15 @@ the quadratic form along a fixed unit vector for the directional variant,
 and the plain value for scalar weights.  Distances integrate an auxiliary
 field along lattice paths (Dijkstra on the 3^n - 1 stencil), which is exact
 for constant fields in the sup-norm convention.
+
+For a weight with a closed form (a radial table, or a constant matrix),
+Psi(x, r) is a polynomial in t = r^2 whose coefficients depend only on x.
+The scan computes those coefficients once per point and evaluates the
+criterion from them on blocks of ladder rungs and in the bisection.  When
+every off-diagonal coefficient is exactly zero, the lower and upper criteria
+are the min and max of the diagonal; otherwise ``eigvalsh`` decides.  Any
+other weight takes the quadrature route: one adaptive integral per point
+and radius, on a coarser ladder.
 """
 
 from __future__ import annotations
@@ -21,14 +30,16 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .cubature import Cube, adaptive_integrate, psi_many
+from .cubature import Cube, adaptive_integrate
 from .errors import BracketFailure, ConfigError, DomainError
-from .weights import MatrixWeight, ScalarDiagWeight, ScalarWeight, symmetrize
+from .weights import (ConstantWeight, MatrixWeight, ScalarDiagWeight, ScalarWeight,
+                      symmetrize)
 
 R_BRACKET = (1e-4, 1e4)     # global radius bracket for criterion scans
 SCAN_PER_DECADE = 64        # fine scan density (last-crossing resolution)
 COARSE_PER_DECADE = 16
 BISECT_RTOL = 1e-8
+_BLOCK_BYTES = 1 << 19       # ceiling of one block of ladder rungs (B, M, d, d)
 
 _KINDS = ("lower", "upper", "directional")
 
@@ -46,35 +57,101 @@ def as_matrix_weight(v) -> MatrixWeight:
 # criterion evaluation
 # ---------------------------------------------------------------------------
 
-def _criterion_many(W: MatrixWeight, X: np.ndarray, r, kind: str,
-                    e: Optional[np.ndarray]) -> np.ndarray:
-    """Criterion of Psi(x, r) for a batch of centers; r scalar or (M,).
+def _psi_coeffs(W: MatrixWeight, X: np.ndarray) -> Optional[np.ndarray]:
+    """Coefficients of Psi(x, r) = r^(2-n) int_{Q(x,r)} W as a polynomial in
+    t = r^2 over an (M, n) batch of points, shape (M, d, d, D) for the powers
+    t^1 .. t^D; None when the weight has no closed form.
 
-    Weights without closed-form cube integrals fall back to per-point
-    adaptive quadrature at tolerance 1e-3 and level cap 3, the same in the
-    ladder scan and in bisection.
+    On one axis int_{c-r}^{c+r} y^(2a) dy = r sum_l 2 C(2a+1, 2l+1)
+    c^(2a-2l) t^l / (2a+1).  The multinomial recursion of
+    :func:`mwlab.weights.cube_even_moments_many`, with products of these
+    polynomials in place of products of numbers, gives the moments
+    int_Q |y|^(2k) = r^n P_k(t), so Psi = t sum_k W_k P_k(t) for the radial
+    table W_k of the weight.  Every term is nonnegative: no cancellation.
     """
-    X = np.atleast_2d(X)
-    P = psi_many(W, X, r)
-    if P is None:
-        rs = np.broadcast_to(np.asarray(r, dtype=float), (X.shape[0],))
-        n = W.n
-        mats = []
-        for i in range(X.shape[0]):
-            cube = Cube(center=X[i], r=float(rs[i]))
-            total = adaptive_integrate(W.eval_many, cube, singular=W.singular_at_origin,
-                                       tol=1e-3, max_level=3).value
-            mats.append(symmetrize(total) * float(rs[i]) ** (2 - n))
-        P = np.stack(mats)
+    m, n = X.shape
+    if isinstance(W, ConstantWeight):   # no radial table: (2r)^n mat r^(2-n)
+        return np.broadcast_to((2.0 ** n * W.mat)[None, :, :, None], (m, W.d, W.d, 1))
+    table = W.radial_table()
+    if table is None:
+        return None
+    K = table.shape[2]
+    acc = None                          # acc[:, k, l]: coefficient of t^l in P_k
+    for j in range(n):
+        c2 = X[:, j] ** 2
+        ax = np.zeros((m, K, K))
+        for a in range(K):
+            for l in range(a + 1):
+                ax[:, a, l] = (2.0 * math.comb(2 * a + 1, 2 * l + 1) / (2 * a + 1)
+                               * c2 ** (a - l))
+        if acc is None:
+            acc = ax
+            continue
+        new = np.zeros_like(acc)
+        for k in range(K):
+            for a in range(k + 1):
+                b = k - a
+                for l in range(a + 1):
+                    new[:, k, l:l + b + 1] += (math.comb(k, a) * ax[:, a, l, None]
+                                               * acc[:, b, :b + 1])
+        acc = new
+    return np.einsum("ijk,mkl->mijl", table, acc)
+
+
+def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_l C[..., l] t^(l+1) for coefficients C of shape (M, ..., D) and t
+    of shape (B, M) or (B, 1); the result has shape (B, M, ...)."""
+    t = t.reshape(t.shape + (1,) * (C.ndim - 2))
+    v = C[..., -1] * t
+    for l in range(C.shape[-1] - 2, -1, -1):
+        v += C[..., l]      # in place: one block-sized array at a time
+        v *= t
+    return v
+
+
+def _matrix_criterion(P: np.ndarray, kind: str, e: Optional[np.ndarray]) -> np.ndarray:
     if kind == "lower":
-        return np.linalg.eigvalsh(P)[:, 0]
+        return np.linalg.eigvalsh(P)[..., 0]
     if kind == "upper":
-        return np.linalg.eigvalsh(P)[:, -1]
-    return np.einsum("mij,i,j->m", P, e, e)
+        return np.linalg.eigvalsh(P)[..., -1]
+    return np.einsum("...ij,i,j->...", P, e, e)
 
 
-def _has_exact(W: MatrixWeight) -> bool:
-    return W.exact_cube_integral_many(np.zeros((1, W.n)) + 0.5, 1.0) is not None
+def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
+    """The criterion as a function of radii r of shape (B, M) or (B, 1),
+    read off the coefficients C of :func:`_psi_coeffs`.
+
+    The directional kind evaluates the coefficients of <Psi e, e>.  When every
+    off-diagonal coefficient is exactly zero, the extreme eigenvalue is the
+    min or max of the diagonal.  Otherwise ``eigvalsh`` decides: the closed
+    2x2 form h +- hypot((a - c)/2, b) cancels on rank-one lower.
+    """
+    if kind == "directional":
+        q = np.einsum("mijl,i,j->ml", C, e, e)
+        return lambda r: _horner(q, r * r)
+    if not np.any(C[:, ~np.eye(C.shape[1], dtype=bool)]):
+        diag = np.einsum("miil->mil", C)
+        pick = np.min if kind == "lower" else np.max
+        return lambda r: pick(_horner(diag, r * r), axis=-1)
+    return lambda r: _matrix_criterion(_horner(C, r * r), kind, e)
+
+
+def _quad_criterion(W: MatrixWeight, X: np.ndarray, kind: str, e: Optional[np.ndarray]):
+    """The criterion for weights without closed-form cube integrals, from
+    per-point adaptive quadrature at tolerance 1e-3 and level cap 3."""
+    n = W.n
+
+    def crit(r):
+        r = np.broadcast_to(r, (r.shape[0], X.shape[0]))
+        P = np.empty(r.shape + (W.d, W.d))
+        for b, i in np.ndindex(r.shape):
+            ri = float(r[b, i])
+            total = adaptive_integrate(W.eval_many, Cube(center=X[i], r=ri),
+                                       singular=W.singular_at_origin,
+                                       tol=1e-3, max_level=3).value
+            P[b, i] = symmetrize(total) * ri ** (2 - n)
+        return _matrix_criterion(P, kind, e)
+    return crit
 
 
 def aux_values_many(W, X: np.ndarray, kind: str = "lower",
@@ -96,25 +173,30 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
             raise ConfigError("directional queries need a unit vector")
         e = np.asarray(e, dtype=float)
         e = e / np.linalg.norm(e)
-    exact = _has_exact(W)
-    density = SCAN_PER_DECADE if exact else COARSE_PER_DECADE
+    coeffs = _psi_coeffs(W, X)
+    if coeffs is None:
+        crit, density = _quad_criterion(W, X, kind, e), COARSE_PER_DECADE
+    else:
+        crit, density = _poly_criterion(coeffs, kind, e), SCAN_PER_DECADE
     lo, hi = R_BRACKET
     decades = math.log10(hi / lo)
     ladder = np.geomspace(lo, hi, int(round(decades * density)) + 1)
 
     m = X.shape[0]
     left = np.full(m, -1)          # ladder index of the last (<=1 -> >1) flip
-    prev_le = None
     below_any = np.zeros(m, dtype=bool)
-    for i, r in enumerate(ladder):
-        le = _criterion_many(W, X, float(r), kind, e) <= 1.0
-        below_any |= le
-        if prev_le is not None:
-            flip = prev_le & ~le
-            left[flip] = i - 1
-        prev_le = le
-    if np.any(le):  # criterion still <= 1 at the top rung: sup escapes bracket
-        j = int(np.argmax(le))
+    prev = np.zeros(m, dtype=bool)  # criterion <= 1 on the rung before the block
+    block = max(1, _BLOCK_BYTES // (8 * max(m, 1) * W.d * W.d))
+    for start in range(0, ladder.size, block):
+        le = crit(ladder[start:start + block, None]) <= 1.0
+        below_any |= le.any(axis=0)
+        rows = np.concatenate([prev[None], le])
+        flip = rows[:-1] & ~rows[1:]        # flip[k]: from rung start - 1 + k
+        last = flip.shape[0] - 1 - np.argmax(flip[::-1], axis=0)
+        left = np.where(flip.any(axis=0), start - 1 + last, left)
+        prev = le[-1]
+    if np.any(prev):  # criterion still <= 1 at the top rung: sup escapes bracket
+        j = int(np.argmax(prev))
         raise BracketFailure(
             f"criterion <= 1 at r_max={hi:g} for x={X[j]}; enlarge the bracket")
     if np.any(~below_any):
@@ -130,7 +212,7 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
     it = int(math.ceil(math.log2(math.log(ladder[1] / ladder[0]) / BISECT_RTOL))) + 2
     for _ in range(it):
         mids = np.sqrt(r_lo * r_hi)
-        le = _criterion_many(W, X, mids, kind, e) <= 1.0
+        le = crit(mids[None, :])[0] <= 1.0
         r_lo = np.where(le, mids, r_lo)
         r_hi = np.where(le, r_hi, mids)
     return 1.0 / np.sqrt(r_lo * r_hi)

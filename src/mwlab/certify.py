@@ -22,6 +22,9 @@ Certified classes and their constants:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -234,10 +237,37 @@ def _bp_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int,
     return float(ratios[k]), dirs[k]
 
 
+# reducing matrices already built inside one cross_checks call, by input
+_REDUCING_MEMO: contextvars.ContextVar = contextvars.ContextVar("reducing_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_reducing_matrices():
+    """Build each reducing matrix once inside the block (or the decorated
+    call): ``bp_det`` and ``apinf`` ask for the same ones.  Nothing outlives
+    the block."""
+    token = _REDUCING_MEMO.set({})
+    try:
+        yield
+    finally:
+        _REDUCING_MEMO.reset(token)
+
+
 def reducing_matrix_qform(W: MatrixWeight, cube: Cube, p: float, tol: float = CERT_TOL,
                           seed: int = 7) -> np.ndarray:
     """Reducing matrix of V^p at exponent 2p: wraps the norm
     e -> (avg <V e, e>^p)^(1/(2p)) in its John ellipsoid."""
+    memo = _REDUCING_MEMO.get()
+    if memo is None:
+        return _reducing_matrix_qform(W, cube, p, tol, seed)
+    key = (json.dumps(W.to_config()), cube.key(), p, tol, seed)
+    if key not in memo:
+        memo[key] = _reducing_matrix_qform(W, cube, p, tol, seed)
+    return memo[key]
+
+
+def _reducing_matrix_qform(W: MatrixWeight, cube: Cube, p: float, tol: float,
+                           seed: int) -> np.ndarray:
     d = W.d
     rng = np.random.default_rng(seed)
     rand = rng.standard_normal((64 * d, d))
@@ -564,6 +594,7 @@ def _try(fn, *args, **kwargs):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+@_shared_reducing_matrices()
 def cross_checks(W: MatrixWeight, p: float, family: CubeFamily, *,
                  eps_list: Sequence[float] = (0.1, 0.25, 0.5),
                  nc_centers: Optional[Sequence] = None,

@@ -64,7 +64,10 @@ def _weight_cfg(spec: str) -> dict:
         raise ConfigError(f"weight descriptor {spec!r} is neither a builtin "
                           f"({', '.join(sorted(BUILTIN_WEIGHTS))}) nor a file")
     with open(spec, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"weight descriptor {spec!r} is not a JSON object")
+    return cfg
 
 
 def load_family(spec: str) -> cubature.CubeFamily:
@@ -129,8 +132,14 @@ def _list(kind: type) -> Callable:
 def _grid(default: str, keys: str) -> tuple:
     """``--grid`` as comma-separated values of ``keys`` ("L,m" or "N,L")."""
     types = {"L": float, "m": int, "N": int}
-    return "--grid", dict(default=default, help=keys, type=lambda text: {
-        k: types[k](v) for k, v in zip(keys.split(","), text.split(","))})
+    names = keys.split(",")
+
+    def parse(text: str) -> dict:
+        values = text.split(",")
+        if len(values) != len(names):
+            raise ConfigError(f"--grid {text!r}: expected {len(names)} values ({keys})")
+        return {k: types[k](v) for k, v in zip(names, values)}
+    return "--grid", dict(default=default, help=keys, type=parse)
 
 
 COMMON_FLAGS = (

@@ -6,8 +6,8 @@ All averaging in the laboratory happens over axis-aligned cubes Q(x, r)
 with center x and half-side r (side length 2r).  The quadrature engine is a
 composite tensor rule refined adaptively until two successive levels agree.
 The closed-form cube integrals of :mod:`mwlab.weights` are a second route:
-``psi(method="exact")`` and ``psi_many`` use them, and the tests check them
-against the quadrature.
+``psi(method="exact")`` uses them, and the tests check them against the
+quadrature.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -200,21 +200,6 @@ def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature") -> np.ndarr
         raise ConfigError(f"unknown psi method {method!r}")
     Q = Cube(center=x, r=r)
     return average(W, Q) * Q.volume * r ** (2 - n)
-
-
-def psi_many(W: MatrixWeight, X: np.ndarray, r) -> Optional[np.ndarray]:
-    """Vectorized exact psi over many centers; None when no closed form exists.
-
-    ``r`` may be a scalar or a per-center array.
-    """
-    n = W.n
-    ints = W.exact_cube_integral_many(X, r)
-    if ints is None:
-        return None
-    scale = np.asarray(r, dtype=float) ** (2 - n)
-    if scale.ndim:
-        return symmetrize(ints) * scale[:, None, None]
-    return symmetrize(ints) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,109 @@ class TestAuxValues:
             am.aux_value(identity2, np.zeros(3), kind="middle")
 
 
+def _closed_form_weights() -> dict:
+    rank_one = mw.RankOneRadialWeight()
+    diag_poly = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),
+                                             mw.PolyScalar((0.0, 0.0, 1.0))))
+    diag_ordered = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),
+                                                mw.PolyScalar((0.0, 1.0, 1.0))))
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return {
+        "rank-one": rank_one, "diag-poly": diag_poly, "diag-ordered": diag_ordered,
+        "power-26": mw.PowerWeight(A=A, gamma=np.array([2.0, 6.0])),
+        "norm-rank-one": mw.NormDiagWeight(base=rank_one),
+        "eig-max-rank-one": cf._EigScalarWeight(rank_one, "max"),
+        "eig-min-diag-ordered": cf._EigScalarWeight(diag_ordered, "min"),
+        "detroot-power13": cf._DetRootWeight(mw.PowerWeight(A=A, gamma=np.array([1.0, 3.0]))),
+        "identity": mw.identity_weight(),
+        "constant": mw.ConstantWeight(A),
+    }
+
+
+class TestPolynomialScan:
+    """The scan reads the criterion off per-point coefficients of Psi(x, r)
+    in t = r^2; these tests pin that route to the per-radius closed forms
+    and to the values of the per-rung moment route it replaced."""
+
+    RADII = np.geomspace(1e-3, 1e3, 30)
+
+    @pytest.mark.parametrize("name", sorted(_closed_form_weights()))
+    def test_coefficients_match_cube_integrals(self, name):
+        W = _closed_form_weights()[name]
+        X = np.random.default_rng(12).uniform(-3.0, 3.0, size=(16, 3))
+        C = am._psi_coeffs(W, X)
+        assert C.shape[:3] == (16, W.d, W.d)
+        for r in self.RADII:
+            want = mw.symmetrize(W.exact_cube_integral_many(X, r)) * r ** (2 - W.n)
+            got = am._horner(C, np.array([[r * r]]))[0]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_no_coefficients_without_closed_form(self, power13):
+        assert am._psi_coeffs(power13, np.zeros((2, 3))) is None
+
+    POINTS = np.array([[0, 0, 0], [0.5, 0, 0], [1, 1, 1], [-1.5, 0.25, 2], [3, -1, 0.5],
+                       [0, 0, 6], [-4, 2, -2], [0.1, -0.2, 0.3], [2.5, 2.5, -2.5],
+                       [-0.75, 1.25, 0], [5, -3, 1], [10, 0, 0]], dtype=float)
+    # aux_values_many at POINTS with e = (1, 0.3), as the per-rung moment
+    # route computed them; every identity value is 0x1.6a09e6624b1efp+1
+    RECORDED = {
+        ("rank-one", "lower"): (
+            "0x1.ff6ebc77554a8p-1 0x1.2f5c9545e6a00p+0 0x1.2c0d85e7bb9fcp+0 0x1.07997863a3a35p+0 "
+            "0x1.de4d26069cba2p-1 0x1.6abd3c265c69ep-1 0x1.8db117ea68352p-1 0x1.1e3f519d93acep+0 "
+            "0x1.a4237250034f5p-1 0x1.3a73b092a47f6p+0 0x1.6d169d7b3aaf9p-1 0x1.1d9e745743132p-1"),
+        ("rank-one", "upper"): (
+            "0x1.6cc892e62cd42p+1 0x1.819cdb6c13d96p+1 0x1.1fe98fb546d0ep+3 0x1.217574a89fa75p+4 "
+            "0x1.d22708871c2c9p+4 0x1.9773d23c86845p+6 0x1.0fc4c863f44fcp+6 0x1.7618013eebf66p+1 "
+            "0x1.a8e16027d1b8ep+5 0x1.aeb7d1c7e6843p+2 0x1.8c24aff2a799cp+6 0x1.1adb5ea543b6ap+8"),
+        ("rank-one", "directional"): (
+            "0x1.67fc9d984090bp+1 0x1.80d9c39e0349ep+1 0x1.4bf9084a9a6cfp+2 0x1.f6f138271fe94p+2 "
+            "0x1.61979a662061ep+3 0x1.ff81a7e3180f1p+4 0x1.637b2e3838ad3p+4 0x1.75e57e16cc6c7p+1 "
+            "0x1.1f3b72e8e2045p+4 0x1.1f2b201578dddp+2 0x1.f280ef29074bcp+4 0x1.4fef315c6b6b6p+6"),
+        ("diag-poly", "lower"): (
+            "0x1.7896475729a81p+0 0x1.d5f85587cb22cp+0 0x1.3bacdeda83641p+2 0x1.c7841a2a4bf3bp+2 "
+            "0x1.21f1c76e66d3dp+3 0x1.0f8ac6e2503c2p+4 0x1.bb73fec441914p+3 0x1.abd14c26e7e82p+0 "
+            "0x1.87fcedbe4e297p+3 0x1.0b695b40a7742p+2 0x1.0bbeaf942de45p+4 0x1.c48d1960460aep+4"),
+        ("diag-poly", "upper"): (
+            "0x1.ae89f9962f3adp+0 0x1.fffffffdbc2e4p+0 0x1.1196a66a0c4dfp+3 0x1.1de844c6c3b61p+4 "
+            "0x1.cff3a5aab976ap+4 0x1.974b9a6bed8bfp+6 0x1.0f8878f94b1d7p+6 0x1.db0a03d9bce96p+0 "
+            "0x1.a84708b4ed40bp+5 0x1.88a32f5c70f92p+2 0x1.8bfb521fdfcb0p+6 0x1.1ad7bfe20c534p+8"),
+        ("diag-poly", "directional"): (
+            "0x1.a9a41182db7b7p+0 0x1.fbd5461eb359ap+0 0x1.5564a63a26b37p+2 0x1.114d241160458p+3 "
+            "0x1.811c981d37448p+3 0x1.0bc6895efabc6p+5 0x1.7985cefddbbe7p+4 0x1.d68069cc8c46cp+0 "
+            "0x1.33c1086325ac6p+4 0x1.187c66b790750p+2 0x1.0536b41b6d1bfp+5 0x1.56aedde0b772bp+6"),
+        ("diag-ordered", "lower"): (
+            "0x1.ae89f9962f3adp+0 0x1.fffffffdbc2e4p+0 0x1.3bacdeda83641p+2 0x1.c7841a2a4bf3bp+2 "
+            "0x1.21f1c76e66d3dp+3 0x1.0f8ac6e2503c2p+4 0x1.bb73fec441914p+3 0x1.db0a03d9bce96p+0 "
+            "0x1.87fcedbe4e297p+3 0x1.0b695b40a7742p+2 0x1.0bbeaf942de45p+4 0x1.c48d1960460aep+4"),
+        ("diag-ordered", "upper"): (
+            "0x1.d2bb2497e4c55p+0 0x1.2c36f59265929p+1 0x1.3b040ca14c0e6p+3 0x1.33aa62bb0dd7bp+4 "
+            "0x1.e60b12fa7fd22p+4 0x1.9ce9d2cfd194ap+6 0x1.1521cc755d1f6p+6 0x1.0d9aac10b7fecp+1 "
+            "0x1.b3718423b7999p+5 0x1.d7b0573ed4d35p+2 0x1.919942a80c690p+6 0x1.1c40e32c775a6p+8"),
+        ("diag-ordered", "directional"): (
+            "0x1.b2657eacaffa0p+0 0x1.04c2a464e2a6ep+1 0x1.61059af703cfap+2 0x1.18fdc1c64a949p+3 "
+            "0x1.8a01083fc1d99p+3 0x1.0e9a2d2950ffbp+5 0x1.7edc02aa4efe6p+4 0x1.e1eda848a6541p+0 "
+            "0x1.38dca28e4575ap+4 0x1.227add55d905bp+2 0x1.0807d4ee4cbf0p+5 0x1.5838c0223b5aap+6"),
+    }
+
+    @pytest.mark.parametrize("name,kind", sorted(RECORDED) + [
+        ("identity", k) for k in ("lower", "upper", "directional")])
+    def test_values_are_the_recorded_bits(self, name, kind):
+        W = _closed_form_weights()[name]
+        got = am.aux_values_many(W, self.POINTS, kind, e=np.array([1.0, 0.3]))
+        want = self.RECORDED.get((name, kind), " ".join(["0x1.6a09e6624b1efp+1"] * 12))
+        assert [float.fromhex(h) for h in want.split()] == got.tolist()
+
+    def test_diagonal_fast_path_matches_eigvalsh(self, diag_poly):
+        X = am.BoxGrid(L=1.5, m=8).nodes()
+        C = am._psi_coeffs(diag_poly, X)
+        lo, hi = am.R_BRACKET
+        ladder = np.geomspace(lo, hi, int(round(math.log10(hi / lo) * am.SCAN_PER_DECADE)) + 1)
+        lam = np.linalg.eigvalsh(am._horner(C, (ladder ** 2)[:, None]))
+        for kind, col in (("lower", 0), ("upper", -1)):
+            fast = am._poly_criterion(C, kind, None)(ladder[:, None])
+            assert np.array_equal(fast <= 1.0, lam[..., col] <= 1.0)
+
+
 class TestDiagonalReduction:
     def test_aux_fields_match_scalar_fields(self, diag_ordered):
         # diag(v1, v2) with v1 <= v2: the lower field IS the scalar field of

@@ -272,6 +272,22 @@ class TestReducingMatrix:
         with pytest.raises(Degenerate):
             cf.reducing_matrix_qform(W, cb.Cube(center=np.zeros(3), r=1.0), 2.0)
 
+    def test_one_ellipsoid_per_input_inside_cross_checks(self, identity2, monkeypatch):
+        # cross_checks shares each John ellipsoid between bp_det and apinf;
+        # the sharing ends with the call
+        calls = []
+        mvee = cf.khachiyan_mvee_centered
+        monkeypatch.setattr(cf, "khachiyan_mvee_centered",
+                            lambda P: calls.append(1) or mvee(P))
+        Q = cb.Cube(center=np.zeros(3), r=1.0)
+        with cf._shared_reducing_matrices():
+            R = cf.reducing_matrix_qform(identity2, Q, 2.0)
+            assert cf.reducing_matrix_qform(identity2, Q, 2.0) is R
+            cf.reducing_matrix_qform(identity2, Q, 1.5)
+        assert len(calls) == 2
+        assert np.array_equal(cf.reducing_matrix_qform(identity2, Q, 2.0), R)
+        assert len(calls) == 3
+
 
 class TestOneSweep:
     """With stability=True a certifier sweeps the second refinement once and

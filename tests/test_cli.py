@@ -53,6 +53,9 @@ class TestExitCodes:
                                                "params": {"scale": "bogus", "budget": 0.0}}},
         "weight-file-missing-field": {"weight": {"kind": "constant", "n": 3, "d": 2},
                                       "argv": ["aux", "--grid", "1.0,2"]},
+        "weight-file-not-an-object": {"weight": [1, 2], "argv": ["aux", "--grid", "1.0,2"]},
+        "aux-grid-one-value": {"argv": ["aux", "--grid", "1.0"]},
+        "aux-grid-three-values": {"argv": ["aux", "--grid", "1.0,2,3"]},
         "green-pole-past-the-grid": {"argv": ["green", "--grid", "13,2.0", "--pole", "20,0,0"]},
         "green-pole-negative": {"argv": ["green", "--pole", "6,6,-1"]},
         "agmon-source-past-the-grid": {"argv": ["agmon", "--grid", "1.0,4",

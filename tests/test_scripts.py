@@ -1,5 +1,8 @@
-"""Smoke test: every script under scripts/ starts and prints its help."""
+"""Smoke test: every script under scripts/ starts and prints its help; unit
+tests of the helpers a script defines."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +27,28 @@ def test_script_help(script):
 
 def test_scripts_found():
     assert len(SCRIPTS) >= 3
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_refcheck_compare_names_each_difference(tmp_path):
+    refcheck = _load_script("refcheck")
+    report = {"config": {"out": "x", "seed": 1}, "results": {"min": 1.5, "max": 2.0}}
+    for side, (row, value, out) in {"a": ("1,2.5", 2.0, "a/x"),
+                                    "b": ("1,2.75", 3.0, "b/x")}.items():
+        bundle = tmp_path / side / "x"
+        bundle.mkdir(parents=True)
+        (bundle / "report.csv").write_text(f"k,v\n0,1\n{row}\n")
+        (bundle / "same.csv").write_text("k,v\n0,1\n")
+        doc = json.loads(json.dumps(report))
+        doc["config"]["out"] = out
+        doc["results"]["max"] = value
+        (bundle / "report.json").write_text(json.dumps(doc))
+    lines = refcheck.compare(tmp_path / "a", tmp_path / "b")
+    assert lines == ["x/report.csv: row 3: '1,2.5' != '1,2.75'",
+                     "x/report.json: differs at results.max"]
