@@ -13,9 +13,11 @@ Psi(x, r) is a polynomial in t = r^2 whose coefficients depend only on x.
 The scan computes those coefficients once per point and evaluates the
 criterion from them on blocks of ladder rungs and in the bisection.  When
 every off-diagonal coefficient is exactly zero, the lower and upper criteria
-are the min and max of the diagonal; otherwise ``eigvalsh`` decides.  Any
-other weight takes the quadrature route: one adaptive integral per point
-and radius, on a coarser ladder.
+are the min and max of the diagonal.  Otherwise, for d = 2, a vectorized port
+of LAPACK's 2x2 eigenvalue arithmetic (dsterf and dlae2) decides, with the
+bits ``eigvalsh`` returns; larger d goes to ``eigvalsh``.  Any other weight
+takes the quadrature route: one adaptive integral per point and radius, on a
+coarser ladder.
 """
 
 from __future__ import annotations
@@ -109,12 +111,76 @@ def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return v
 
 
+# LAPACK's dlamch('E'), and the band of max-abs entries in which neither
+# dsyevd (outside [2^-485, 2^485]) nor dsterf (outside [2^-405, 2^511 / 3])
+# rescales a matrix
+_EPS = 2.0 ** -53
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
+
+
+def _eig2(P: np.ndarray, upper: bool) -> np.ndarray:
+    """The smallest (or largest) eigenvalue of each symmetric 2x2 matrix in
+    P (..., 2, 2), bit for bit what ``np.linalg.eigvalsh`` returns.
+
+    For d = 2, dsyevd hands the lower triangle (a, b, c) unchanged through
+    dsytrd to dsterf.  That splits the matrix when b is negligible, leaving
+    a and c, and otherwise calls dlae2; this is their arithmetic in their
+    order, then the sort.  Rows LAPACK would rescale (max-abs entry
+    outside ``_UNSCALED``, which NaN and inf are) and rows with a + c = 0
+    go to ``eigvalsh`` itself.  Four work rows are reused in place: fresh
+    block-sized temporaries cost more in page faults than in arithmetic.
+    """
+    a, b, c = P[..., 0, 0], P[..., 1, 0], P[..., 1, 1]
+    sm, s, u, v = np.empty((4,) + a.shape)
+    with np.errstate(all="ignore"):     # rows eigvalsh takes may overflow
+        np.add(a, c, out=sm)
+        np.maximum(np.abs(a, out=s), np.abs(c, out=u), out=v)
+        a_big = s > u                   # dlae2's acmx is a
+        np.sqrt(s, out=s)
+        s *= np.sqrt(u, out=u)
+        s *= _EPS
+        np.abs(b, out=u)
+        np.maximum(v, u, out=v)
+        ours = (v >= _UNSCALED[0]) & (v <= _UNSCALED[1]) & (sm != 0)
+        split = u <= s                  # |b| <= sqrt|a| sqrt|c| eps
+        b2 = np.multiply(b, b, out=u)
+        np.abs(np.multiply(a, c, out=s), out=s)
+        s *= _EPS ** 2
+        split |= b2 <= s                # b^2 <= eps^2 |a c|
+        rb = np.sqrt(b2, out=u)         # dlae2's b
+        # rt = max(adf, ab) sqrt(1 + (min/max)^2) with adf = |a - c|, ab = 2|b|
+        np.abs(np.subtract(a, c, out=s), out=s)
+        ab = rb + rb
+        np.maximum(s, ab, out=v)
+        np.minimum(s, ab, out=s)
+        s /= v
+        s *= s
+        s += 1.0
+        rt1 = np.sqrt(s, out=s)
+        rt1 *= v
+        # rt1 = (sm +- rt) / 2 with the sign of sm, rt2 = (acmx/rt1) acmn - (b/rt1) b
+        np.copysign(rt1, sm, out=rt1)
+        rt1 += sm
+        rt1 *= 0.5
+        rt2 = np.where(a_big, a, c)
+        rt2 /= rt1
+        rt2 *= np.where(a_big, c, a)
+        rb *= np.divide(rb, rt1, out=v)
+        rt2 -= rb
+    pick = np.maximum if upper else np.minimum
+    lam = pick(rt1, rt2, out=rt1)
+    np.copyto(lam, pick(a, c), where=split)
+    if not ours.all():
+        lam[~ours] = np.linalg.eigvalsh(P[~ours])[..., -1 if upper else 0]
+    return lam
+
+
 def _matrix_criterion(P: np.ndarray, kind: str, e: Optional[np.ndarray]) -> np.ndarray:
-    if kind == "lower":
-        return np.linalg.eigvalsh(P)[..., 0]
-    if kind == "upper":
-        return np.linalg.eigvalsh(P)[..., -1]
-    return np.einsum("...ij,i,j->...", P, e, e)
+    if kind == "directional":
+        return np.einsum("...ij,i,j->...", P, e, e)
+    if P.shape[-1] == 2:
+        return _eig2(P, kind == "upper")
+    return np.linalg.eigvalsh(P)[..., -1 if kind == "upper" else 0]
 
 
 def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
@@ -123,8 +189,9 @@ def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
 
     The directional kind evaluates the coefficients of <Psi e, e>.  When every
     off-diagonal coefficient is exactly zero, the extreme eigenvalue is the
-    min or max of the diagonal.  Otherwise ``eigvalsh`` decides: the closed
-    2x2 form h +- hypot((a - c)/2, b) cancels on rank-one lower.
+    min or max of the diagonal.  Otherwise :func:`_matrix_criterion` decides,
+    through :func:`_eig2` for d = 2: the textbook form h +- hypot((a - c)/2, b)
+    cancels on rank-one lower, and LAPACK's own arithmetic keeps its bits.
     """
     if kind == "directional":
         q = np.einsum("mijl,i,j->ml", C, e, e)

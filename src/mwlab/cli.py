@@ -479,20 +479,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the type of each key of the config objects that flags take apart
+_OBJECT_KEYS = {"--grid": {"L": float, "m": int, "N": int},
+                "--family": {f.name: type(f.default)
+                             for f in dataclasses.fields(cubature.CubeFamily)}}
+
+
+def _json_is(value, kind: type) -> bool:
+    """Whether a JSON value has a field's type: an int is also a float, and a
+    bool is neither."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
+
+
 def _typed(flag: str, kwargs: dict, value):
-    """A string through the flag's ``type``, as argparse passes one."""
-    if not (isinstance(value, str) and "type" in kwargs):
-        return value
-    try:
-        return kwargs["type"](value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{flag} {value!r}: {exc}") from exc
+    """A config value as its flag checks one: a string through the flag's
+    ``type``, as argparse passes one; a number must have that type, and each
+    value of a ``--grid`` or ``--family`` object the type of its key."""
+    kind = kwargs.get("type")
+    if isinstance(value, str) and kind is not None:
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{flag} {value!r}: {exc}") from exc
+    if kind in (int, float) and not _json_is(value, kind):
+        raise ConfigError(f"{flag} {value!r}: expected {kind.__name__}")
+    keys = _OBJECT_KEYS.get(flag, {})
+    for k, v in (value.items() if isinstance(value, dict) else ()):
+        if k in keys and not _json_is(v, keys[k]):
+            raise ConfigError(f"{flag} {k} {v!r}: expected {keys[k].__name__}")
+    return value
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Each config field from its explicit flag, else the config file, else
-    the flag's default.  A file value gets the checks of its flag: a string
-    goes through the flag's type, and a flag with choices admits only those."""
+    the flag's default.  A file value gets the checks of its flag (see
+    ``_typed``), and a flag with choices admits only those."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -503,7 +525,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(subcommand=sub,
                            weight=base.get("weight") or BUILTIN_WEIGHTS["identity"],
                            family=base.get("family"), grid=base.get("grid"),
-                           seed=int(base.get("seed", 1)), out=base.get("out", "out"),
+                           seed=base.get("seed", 1), out=base.get("out", "out"),
                            params=dict(base.get("params", {})))
     given = vars(args)
     for flag, kwargs in COMMON_FLAGS + STAGES[sub].flags:

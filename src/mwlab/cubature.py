@@ -323,26 +323,6 @@ def khachiyan_mvee_centered(points: np.ndarray, tol: float = 1e-6,
 # determinant inequalities
 # ---------------------------------------------------------------------------
 
-def check_matrix_jensen(W: MatrixWeight, Q: Cube, tol: float = QUAD_TOL):
-    """det(avg_Q W) >= exp(avg_Q ln det W), checked by quadrature.
-
-    Returns (lhs, rhs, pass).  DomainError when det W <= 0 on a node.
-    """
-    lhs = float(np.linalg.det(average(W, Q, tol=tol)))
-
-    def logdets(X):
-        vals = W.eval_many(X)
-        dets = np.linalg.det(vals)
-        if np.any(dets <= 0.0):
-            raise DomainError("det W <= 0 at a quadrature node; Jensen check needs "
-                              "a positive definite weight")
-        return np.log(dets)
-
-    integ = adaptive_integrate(logdets, Q, singular=W.singular_at_origin, tol=tol).value
-    rhs = float(np.exp(integ / Q.volume))
-    return lhs, rhs, bool(lhs >= rhs * (1.0 - tol))
-
-
 def check_hadamard(M: np.ndarray, basis: np.ndarray, slack: float = 1e-12) -> bool:
     """det M <= prod_j <M e_j, e_j> <= prod_j |M e_j| for an orthonormal basis."""
     M = symmetrize(np.asarray(M, dtype=float))

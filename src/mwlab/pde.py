@@ -396,46 +396,6 @@ def landscape(op: DiscreteOperator, x0, tol: float = SOLVE_TOL,
             "c_lower": u * m_up ** 2, "c_upper": u * m_lo ** 2}
 
 
-def local_boundedness_probe(op: DiscreteOperator, f: np.ndarray,
-                            radii: Sequence[float], center=None,
-                            q_list: Sequence[float] = (1.0, 2.0),
-                            ell: float = 2.0, tol: float = SOLVE_TOL) -> list:
-    """Empirical interior-boundedness ratios
-
-    ||u||_inf(B_R) / [ R^(-3/q) ||u||_q(B_2R) + R^(2 - 3/ell) ||f||_ell(B_2R) ]
-
-    for u solving op u = f.  The probe reports ratios; stability across
-    resolutions stands in for the R-independence of the constant.
-    """
-    grid = op.grid
-    nodes = grid.nodes()
-    h3 = grid.h ** 3
-    if center is None:
-        center = np.zeros(3)
-    center = np.asarray(center, dtype=float)
-    u = solve(op, np.asarray(f, dtype=float).ravel(), tol=tol).reshape(grid.size, op.d)
-    fv = np.asarray(f, dtype=float).reshape(grid.size, op.d)
-    unorm = np.linalg.norm(u, axis=1)
-    fnorm = np.linalg.norm(fv, axis=1)
-    dist = np.linalg.norm(nodes - center[None, :], axis=1)
-    out = []
-    for R in radii:
-        inner = dist <= R
-        outer = dist <= 2.0 * R
-        if 2.0 * R > grid.L - grid.h:
-            raise ConfigError(f"ball of radius 2R={2 * R:g} leaves the grid")
-        sup_u = float(unorm[inner].max(initial=0.0))
-        f_ell = float((h3 * np.sum(fnorm[outer] ** ell)) ** (1.0 / ell))
-        for q in q_list:
-            u_q = float((h3 * np.sum(unorm[outer] ** q)) ** (1.0 / q))
-            bracket = R ** (-3.0 / q) * u_q + R ** (2.0 - 3.0 / ell) * f_ell
-            ratio = 0.0 if sup_u == 0.0 else sup_u / bracket
-            out.append({"R": float(R), "q": float(q), "ell": float(ell),
-                        "sup_u": sup_u, "u_q": u_q, "f_ell": f_ell,
-                        "ratio": ratio})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # binary serialization (header: N, L, d, pole; node-major d x d blocks)
 # ---------------------------------------------------------------------------

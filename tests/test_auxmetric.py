@@ -163,6 +163,79 @@ class TestPolynomialScan:
             assert np.array_equal(fast <= 1.0, lam[..., col] <= 1.0)
 
 
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _sym2(a, b, c) -> np.ndarray:
+    P = np.empty(np.shape(a) + (2, 2))
+    P[..., 0, 0], P[..., 1, 0], P[..., 0, 1], P[..., 1, 1] = a, b, b, c
+    return P
+
+
+class TestEig2:
+    """The 2x2 criterion is LAPACK's own arithmetic for d = 2: it must return
+    the bits of ``eigvalsh``, on the scan's matrices and on edge cases."""
+
+    def _assert_eigvalsh_bits(self, P):
+        lam = np.linalg.eigvalsh(P)
+        assert _bits(am._matrix_criterion(P, "lower", None)) == _bits(lam[..., 0])
+        assert _bits(am._matrix_criterion(P, "upper", None)) == _bits(lam[..., -1])
+
+    @pytest.mark.parametrize("name", ["constant", "power-26", "rank-one"])
+    def test_every_ladder_rung_of_the_catalog(self, name):
+        # the weights whose tables have off-diagonal coefficients, at random
+        # points and out to |x| = 240 along random directions, as the
+        # counterexample scans rank-one
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((50, 3))
+        far = dirs / np.linalg.norm(dirs, axis=1)[:, None] * np.geomspace(0.1, 240.0, 50)[:, None]
+        X = np.vstack([rng.uniform(-4.0, 4.0, size=(150, 3)), far])
+        lo, hi = am.R_BRACKET
+        ladder = np.geomspace(lo, hi, int(round(math.log10(hi / lo) * am.SCAN_PER_DECADE)) + 1)
+        self._assert_eigvalsh_bits(am._horner(am._psi_coeffs(_closed_form_weights()[name], X),
+                                              (ladder ** 2)[:, None]))
+
+    def test_adversarial_and_fallback_rows(self):
+        rng = np.random.default_rng(6)
+        k = 20000
+        a, c = rng.uniform(0.1, 10.0, k), rng.uniform(0.1, 10.0, k)
+        sign = rng.choice([-1.0, 1.0], k)
+        ulps = 1.0 + rng.integers(-4, 5, k) * 2.0 ** -52
+        u = rng.standard_normal((k, 2))
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, k)
+        families = [
+            _sym2(a, sign * a * 10.0 ** rng.uniform(-20.0, -5.0, k),
+                  a * (1.0 + rng.uniform(-1e-12, 1e-12, k))),           # a ~ c, tiny b
+            _sym2(a, 0.0, c),                                           # b = 0
+            _sym2(a, sign * np.sqrt(a) * np.sqrt(c) * 2.0 ** -53 * ulps, c),  # split edges
+            _sym2(a, sign * np.sqrt(2.0 ** -106 * a * c) * ulps, c),
+            scale[:, None, None] * rng.standard_normal((k, 2, 2)),       # 1e-300 .. 1e300
+            _sym2(u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1] ** 2),       # exact rank one
+            _sym2(rng.standard_normal(k), -np.abs(rng.standard_normal(k)),
+                  rng.standard_normal(k)),                              # negative b
+        ]
+        for P in families:
+            self._assert_eigvalsh_bits(mw.symmetrize(P))
+        # rows eigvalsh keeps: LAPACK rescales them, or a + c = 0, or NaN
+        s = np.array([0.0, 1e-200, 1e200, 2.0 ** -406, 2.0 ** 486])
+        fallback = np.concatenate([_sym2(s, 0.3 * s, 0.7 * s), _sym2(s, 0.3 * s, -s),
+                                   _sym2(np.nan, 1.0, 2.0)[None]])
+        self._assert_eigvalsh_bits(fallback)
+
+    def test_rank_one_lower_scan_makes_no_eigvalsh_call(self, rank_one, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(P, *args, **kwargs):
+            calls.append(np.shape(P))
+            return eigvalsh(P, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        vals = am.aux_values_many(rank_one, am.BoxGrid(L=3.0, m=3).nodes(), "lower")
+        assert vals.shape == (64,) and np.all(np.isfinite(vals))
+        assert calls == []
+
+
 class TestDiagonalReduction:
     def test_aux_fields_match_scalar_fields(self, diag_ordered):
         # diag(v1, v2) with v1 <= v2: the lower field IS the scalar field of

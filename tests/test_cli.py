@@ -51,6 +51,13 @@ class TestExitCodes:
             "family": {"generator": "dyadic", "boxx": 4.0}}},
         "file-scale-not-a-choice": {"config": {"subcommand": "all",
                                                "params": {"scale": "bogus", "budget": 0.0}}},
+        "file-family-value-a-string": {"config": {
+            "subcommand": "certify", "params": {"class": "nd"},
+            "family": {"generator": "dyadic", "box": "4", "count": 2}}},
+        "file-grid-value-not-a-number": {"config": {"subcommand": "aux",
+                                                    "grid": {"L": "x", "m": 2}}},
+        "file-seed-not-an-integer": {"config": {"subcommand": "aux", "seed": "abc",
+                                                "grid": {"L": 1.0, "m": 2}}},
         "weight-file-missing-field": {"weight": {"kind": "constant", "n": 3, "d": 2},
                                       "argv": ["aux", "--grid", "1.0,2"]},
         "weight-file-not-an-object": {"weight": [1, 2], "argv": ["aux", "--grid", "1.0,2"]},

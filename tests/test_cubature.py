@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +5,6 @@ from hypothesis import given, settings, strategies as st
 from mwlab import cubature as cb
 from mwlab import weights as mw
 from mwlab.errors import ConfigError, DomainError, QuadratureNonConvergence
-
-# frozen oracle (scipy.integrate.tplquad on the positive octant, eps 1e-12):
-# mean of ln|y|^2 over Q(0,1) in R^3
-MEAN_LOG_SQ = -0.1877045233940396
 
 
 def cube(center, r):
@@ -132,23 +126,6 @@ class TestIntegralRecord:
 
 
 class TestDeterminantLemmas:
-    def test_jensen_identity_weight(self, identity2):
-        lhs, rhs, ok = cb.check_matrix_jensen(identity2, cube([0, 0, 0], 1.0))
-        assert ok and lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
-
-    def test_jensen_log_oracle(self):
-        W = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),
-                                         mw.PolyScalar((0.0, 1.0))))
-        lhs, rhs, ok = cb.check_matrix_jensen(W, cube([0, 0, 0], 1.0))
-        assert ok
-        assert lhs == pytest.approx(1.0, rel=1e-6)
-        assert rhs == pytest.approx(math.exp(2 * MEAN_LOG_SQ), rel=1e-4)
-        assert lhs >= rhs
-
-    def test_jensen_rank_one_domain_error(self, rank_one):
-        with pytest.raises(DomainError):
-            cb.check_matrix_jensen(rank_one, cube([1, 1, 1], 0.5))
-
     def test_hadamard_identity(self):
         assert cb.check_hadamard(np.eye(3), np.eye(3))
 

@@ -241,38 +241,3 @@ class TestLandscape:
         op = pde.assemble(None, None, grid13, d=1)
         with pytest.raises(ConfigError):
             pde.landscape(op, (6, 6, 6))
-
-
-class TestLocalBoundedness:
-    def test_zero_forcing_reports_zero(self, grid13, identity2):
-        op = pde.assemble(identity2, None, grid13)
-        rows = pde.local_boundedness_probe(op, np.zeros(op.dof), radii=[0.5])
-        assert all(row["ratio"] == 0.0 for row in rows)
-
-    def test_ball_indicator_stable_across_resolutions(self, identity2):
-        ratios = {}
-        for N in (13, 19):
-            g = pde.Grid3(L=2.0, N=N)
-            op = pde.assemble(identity2, None, g)
-            nodes = g.nodes()
-            f = np.zeros((g.size, 2))
-            inside = np.linalg.norm(nodes, axis=1) <= 0.3
-            f[inside, 0] = 1.0
-            rows = pde.local_boundedness_probe(op, f, radii=[0.5, 0.8])
-            ratios[N] = max(row["ratio"] for row in rows)
-        assert ratios[19] == pytest.approx(ratios[13], rel=0.2)
-
-    def test_diag_weight_finite_ratios(self, diag_poly):
-        g = pde.Grid3(L=2.0, N=15)
-        op = pde.assemble(diag_poly, None, g)
-        nodes = g.nodes()
-        f = np.zeros((g.size, 2))
-        f[np.linalg.norm(nodes - 0.4, axis=1) <= 0.4, 1] = 1.0
-        rows = pde.local_boundedness_probe(op, f, radii=[0.4, 0.6, 0.8])
-        assert all(np.isfinite(row["ratio"]) for row in rows)
-        assert max(row["ratio"] for row in rows) > 0
-
-    def test_ball_must_fit(self, grid13, identity2):
-        op = pde.assemble(identity2, None, grid13)
-        with pytest.raises(ConfigError):
-            pde.local_boundedness_probe(op, np.zeros(op.dof), radii=[5.0])
