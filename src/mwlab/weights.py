@@ -411,6 +411,15 @@ class PowerWeight(MatrixWeight):
             pw = t[:, None, None] ** G[None, :, :]
         return self.A[None, :, :] * pw
 
+    def inverse_eval(self, x) -> np.ndarray:
+        """Closed-form V(x)^{-1} = (a^{ij} |x|^{-(gamma_i+gamma_j)/2})."""
+        x = np.asarray(x, dtype=float)
+        t = float(np.linalg.norm(x))
+        if t == 0.0:
+            raise DomainError("power weight inverse is undefined at the origin")
+        Ainv = np.linalg.inv(self.A)
+        return symmetrize(Ainv * t ** (-self.exponent_table))
+
     def radial_table(self):
         # a_ij s^(G_ij / 2), a polynomial in s when every exponent is even
         G = self.exponent_table

@@ -76,6 +76,32 @@ class TestSqrtPSD:
         assert rel <= 1e-12
 
 
+class TestInvPower:
+    def test_diagonal_coefficient(self, rng):
+        W = mw.PowerWeight(A=np.eye(2), gamma=np.array([1.0, 3.0]))
+        x = rng.uniform(-2, 2, size=3)
+        t = np.linalg.norm(x)
+        assert np.allclose(W.inverse_eval(x), np.diag([t ** -1.0, t ** -3.0]))
+
+    def test_constant_case(self):
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        W = mw.PowerWeight(A=A, gamma=np.zeros(2))
+        assert np.allclose(W.inverse_eval([1.0, 1.0, 1.0]), np.linalg.inv(A))
+
+    def test_product_is_identity(self, rng):
+        B = rng.standard_normal((2, 2))
+        A = B @ B.T + 2 * np.eye(2)
+        W = mw.PowerWeight(A=A, gamma=np.array([1.0, 3.0]))
+        x = np.array([1.0, 1.0, 1.0])
+        prod = W.eval(x) @ W.inverse_eval(x)
+        assert np.linalg.norm(prod - np.eye(2)) <= 1e-10
+
+    def test_rejects_origin(self):
+        W = mw.PowerWeight(A=np.eye(2), gamma=np.array([1.0, 3.0]))
+        with pytest.raises(DomainError):
+            W.inverse_eval([0.0, 0.0, 0.0])
+
+
 class TestCatalogInvariants:
     def _catalog(self, identity2, rank_one, diag_poly, power13):
         norm_diag = mw.NormDiagWeight(base=rank_one)
