@@ -9,8 +9,6 @@ import argparse
 import json
 import os
 
-import numpy as np
-
 from mwlab import certify, cubature, weights
 from mwlab.cli import BUILTIN_WEIGHTS
 

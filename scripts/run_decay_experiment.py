@@ -8,8 +8,6 @@ small-scale difference exponent on a finer companion grid.
 
 import argparse
 
-import numpy as np
-
 from mwlab import auxmetric, ineqlab, pde, weights
 from mwlab.cli import BUILTIN_WEIGHTS
 

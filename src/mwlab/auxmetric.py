@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .cubature import Cube, adaptive_integrate
 from .errors import BracketFailure, ConfigError, DomainError
 from .weights import (ConstantWeight, MatrixWeight, ScalarDiagWeight, ScalarWeight,
-                      symmetrize)
+                      cube_moment_polys, extreme_eigvalsh, symmetrize)
 
 R_BRACKET = (1e-4, 1e4)     # global radius bracket for criterion scans
 SCAN_PER_DECADE = 64        # fine scan density (last-crossing resolution)
@@ -64,12 +64,9 @@ def _psi_coeffs(W: MatrixWeight, X: np.ndarray) -> Optional[np.ndarray]:
     t = r^2 over an (M, n) batch of points, shape (M, d, d, D) for the powers
     t^1 .. t^D; None when the weight has no closed form.
 
-    On one axis int_{c-r}^{c+r} y^(2a) dy = r sum_l 2 C(2a+1, 2l+1)
-    c^(2a-2l) t^l / (2a+1).  The multinomial recursion of
-    :func:`mwlab.weights.cube_even_moments_many`, with products of these
-    polynomials in place of products of numbers, gives the moments
-    int_Q |y|^(2k) = r^n P_k(t), so Psi = t sum_k W_k P_k(t) for the radial
-    table W_k of the weight.  Every term is nonnegative: no cancellation.
+    With the moment polynomials int_Q |y|^(2k) = r^n P_k(t) of
+    :func:`mwlab.weights.cube_moment_polys`, Psi = t sum_k W_k P_k(t) for the
+    radial table W_k of the weight.  Every term is nonnegative.
     """
     m, n = X.shape
     if isinstance(W, ConstantWeight):   # no radial table: (2r)^n mat r^(2-n)
@@ -77,27 +74,7 @@ def _psi_coeffs(W: MatrixWeight, X: np.ndarray) -> Optional[np.ndarray]:
     table = W.radial_table()
     if table is None:
         return None
-    K = table.shape[2]
-    acc = None                          # acc[:, k, l]: coefficient of t^l in P_k
-    for j in range(n):
-        c2 = X[:, j] ** 2
-        ax = np.zeros((m, K, K))
-        for a in range(K):
-            for l in range(a + 1):
-                ax[:, a, l] = (2.0 * math.comb(2 * a + 1, 2 * l + 1) / (2 * a + 1)
-                               * c2 ** (a - l))
-        if acc is None:
-            acc = ax
-            continue
-        new = np.zeros_like(acc)
-        for k in range(K):
-            for a in range(k + 1):
-                b = k - a
-                for l in range(a + 1):
-                    new[:, k, l:l + b + 1] += (math.comb(k, a) * ax[:, a, l, None]
-                                               * acc[:, b, :b + 1])
-        acc = new
-    return np.einsum("ijk,mkl->mijl", table, acc)
+    return np.einsum("ijk,mkl->mijl", table, cube_moment_polys(X, table.shape[2]))
 
 
 def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -111,76 +88,10 @@ def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return v
 
 
-# LAPACK's dlamch('E'), and the band of max-abs entries in which neither
-# dsyevd (outside [2^-485, 2^485]) nor dsterf (outside [2^-405, 2^511 / 3])
-# rescales a matrix
-_EPS = 2.0 ** -53
-_UNSCALED = (2.0 ** -405, 2.0 ** 485)
-
-
-def _eig2(P: np.ndarray, upper: bool) -> np.ndarray:
-    """The smallest (or largest) eigenvalue of each symmetric 2x2 matrix in
-    P (..., 2, 2), bit for bit what ``np.linalg.eigvalsh`` returns.
-
-    For d = 2, dsyevd hands the lower triangle (a, b, c) unchanged through
-    dsytrd to dsterf.  That splits the matrix when b is negligible, leaving
-    a and c, and otherwise calls dlae2; this is their arithmetic in their
-    order, then the sort.  Rows LAPACK would rescale (max-abs entry
-    outside ``_UNSCALED``, which NaN and inf are) and rows with a + c = 0
-    go to ``eigvalsh`` itself.  Four work rows are reused in place: fresh
-    block-sized temporaries cost more in page faults than in arithmetic.
-    """
-    a, b, c = P[..., 0, 0], P[..., 1, 0], P[..., 1, 1]
-    sm, s, u, v = np.empty((4,) + a.shape)
-    with np.errstate(all="ignore"):     # rows eigvalsh takes may overflow
-        np.add(a, c, out=sm)
-        np.maximum(np.abs(a, out=s), np.abs(c, out=u), out=v)
-        a_big = s > u                   # dlae2's acmx is a
-        np.sqrt(s, out=s)
-        s *= np.sqrt(u, out=u)
-        s *= _EPS
-        np.abs(b, out=u)
-        np.maximum(v, u, out=v)
-        ours = (v >= _UNSCALED[0]) & (v <= _UNSCALED[1]) & (sm != 0)
-        split = u <= s                  # |b| <= sqrt|a| sqrt|c| eps
-        b2 = np.multiply(b, b, out=u)
-        np.abs(np.multiply(a, c, out=s), out=s)
-        s *= _EPS ** 2
-        split |= b2 <= s                # b^2 <= eps^2 |a c|
-        rb = np.sqrt(b2, out=u)         # dlae2's b
-        # rt = max(adf, ab) sqrt(1 + (min/max)^2) with adf = |a - c|, ab = 2|b|
-        np.abs(np.subtract(a, c, out=s), out=s)
-        ab = rb + rb
-        np.maximum(s, ab, out=v)
-        np.minimum(s, ab, out=s)
-        s /= v
-        s *= s
-        s += 1.0
-        rt1 = np.sqrt(s, out=s)
-        rt1 *= v
-        # rt1 = (sm +- rt) / 2 with the sign of sm, rt2 = (acmx/rt1) acmn - (b/rt1) b
-        np.copysign(rt1, sm, out=rt1)
-        rt1 += sm
-        rt1 *= 0.5
-        rt2 = np.where(a_big, a, c)
-        rt2 /= rt1
-        rt2 *= np.where(a_big, c, a)
-        rb *= np.divide(rb, rt1, out=v)
-        rt2 -= rb
-    pick = np.maximum if upper else np.minimum
-    lam = pick(rt1, rt2, out=rt1)
-    np.copyto(lam, pick(a, c), where=split)
-    if not ours.all():
-        lam[~ours] = np.linalg.eigvalsh(P[~ours])[..., -1 if upper else 0]
-    return lam
-
-
 def _matrix_criterion(P: np.ndarray, kind: str, e: Optional[np.ndarray]) -> np.ndarray:
     if kind == "directional":
         return np.einsum("...ij,i,j->...", P, e, e)
-    if P.shape[-1] == 2:
-        return _eig2(P, kind == "upper")
-    return np.linalg.eigvalsh(P)[..., -1 if kind == "upper" else 0]
+    return extreme_eigvalsh(P, kind == "upper")
 
 
 def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
@@ -190,7 +101,7 @@ def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
     The directional kind evaluates the coefficients of <Psi e, e>.  When every
     off-diagonal coefficient is exactly zero, the extreme eigenvalue is the
     min or max of the diagonal.  Otherwise :func:`_matrix_criterion` decides,
-    through :func:`_eig2` for d = 2: the textbook form h +- hypot((a - c)/2, b)
+    through ``weights._eig2`` for d = 2: the textbook h +- hypot((a - c)/2, b)
     cancels on rank-one lower, and LAPACK's own arithmetic keeps its bits.
     """
     if kind == "directional":

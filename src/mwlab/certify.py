@@ -36,8 +36,9 @@ from .cubature import (Cube, CubeFamily, adaptive_integrate,
                        khachiyan_mvee_centered)
 from .errors import ConfigError, Degenerate, DomainError, SingularSample
 from .ineqlab import _to_jsonable
-from .weights import (MatrixWeight, cube_even_moments, det_radial_poly,
-                      dominant_entry_poly, inv_psd, sqrt_psd, symmetrize, TOL_EIG)
+from .weights import (MatrixWeight, cube_moments, det_radial_poly,
+                      dominant_entry_poly, extreme_eigvalsh, inv_psd, sqrt_psd,
+                      symmetrize, TOL_EIG)
 
 CERT_TOL = 1e-4          # quadrature tolerance inside certifier sweeps
 CERT_MAX_LEVEL = 5       # refinement cap for certifier quadrature
@@ -90,17 +91,7 @@ class _EigScalarWeight(MatrixWeight):
         return self.base.singular_at_origin
 
     def eval_many(self, X):
-        vals = self.base.eval_many(X)
-        if vals.shape[1] == 2:
-            # closed-form 2x2 eigenvalues beat batched LAPACK by a wide margin
-            tr = vals[:, 0, 0] + vals[:, 1, 1]
-            det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-            disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-            col = 0.5 * (tr - disc) if self.which == "min" else 0.5 * (tr + disc)
-        else:
-            lam = np.linalg.eigvalsh(vals)
-            col = lam[:, 0] if self.which == "min" else lam[:, -1]
-        return col[:, None, None]
+        return extreme_eigvalsh(self.base.eval_many(X), self.which == "max")[:, None, None]
 
     def radial_table(self):
         poly = dominant_entry_poly(self.base, self.which)
@@ -198,15 +189,14 @@ def _directional_p_integrals(W: MatrixWeight, cube: Cube, dirs: np.ndarray,
                              p: float, tol: float) -> np.ndarray:
     """avg_Q <W e, e>^p for each row of ``dirs``.
 
-    Exact through even radial moments when the quadratic forms are radial
+    Exact through the cube moments when the quadratic forms are radial
     polynomials and p is an integer; adaptive quadrature otherwise.
     """
     if float(p).is_integer() and p >= 1:
         polys = [W.qform_radial_poly(e) for e in dirs]
         if all(q is not None for q in polys):
             powed = [_poly_pow(np.asarray(q, dtype=float), int(p)) for q in polys]
-            kmax = max(len(c) for c in powed)
-            mom = cube_even_moments(cube.center, cube.r, kmax - 1)
+            mom = cube_moments(cube.center, cube.r, max(len(c) for c in powed))[0]
             vals = np.array([float(np.dot(c, mom[: len(c)])) for c in powed])
             return vals / cube.volume
 

@@ -192,10 +192,10 @@ def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature") -> np.ndarr
     if r <= 0:
         raise DomainError("radius must be positive")
     if method == "exact":
-        exact = W.exact_cube_integral(x, r)
+        exact = W.exact_cube_integral_many(x[None, :], r)
         if exact is None:
             raise ConfigError("no closed-form cube integral for this weight")
-        return symmetrize(exact) * r ** (2 - n)
+        return symmetrize(exact[0]) * r ** (2 - n)
     if method != "quadrature":
         raise ConfigError(f"unknown psi method {method!r}")
     Q = Cube(center=x, r=r)

@@ -5,8 +5,7 @@ grid with zero Dirichlet data on the box walls: a flux-form 7-point stencil
 for the leading part (scalar a couples no components) plus a block-diagonal
 potential sampled at the nodes.  Fundamental matrices ("Green fields") are
 assembled column-wise from point sources, and the module carries the
-resolvent representation identity, landscape functions, and an empirical
-local-boundedness probe.
+resolvent representation identity and landscape functions.
 """
 
 from __future__ import annotations
@@ -370,7 +369,7 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
 
 
 # ---------------------------------------------------------------------------
-# landscape function and local boundedness
+# landscape function
 # ---------------------------------------------------------------------------
 
 def landscape(op: DiscreteOperator, x0, tol: float = SOLVE_TOL,

@@ -5,11 +5,13 @@ R^n with an analytic descriptor.  Every weight in the catalog evaluates
 pointwise and in batch and serializes to a JSON descriptor.  Its one
 closed-form descriptor is :meth:`MatrixWeight.radial_table`: when every entry
 of W(x) is a polynomial in s = |x|^2, the (d, d, K) table of coefficients.
-The base class derives both closed forms from it, exact cube integrals
-(through even radial moments) and quadratic forms <W e, e> as polynomials in
-s.  Exact integrals are a fast path; the quadrature route in
-:mod:`mwlab.cubature` remains the generic contract and the two are tested
-against each other.
+The base class derives both closed forms from it, exact cube integrals and
+quadratic forms <W e, e> as polynomials in s.  Exact integrals are a fast
+path; the quadrature route in :mod:`mwlab.cubature` remains the generic
+contract and the two are tested against each other.  Every closed-form cube
+integral reads one moment routine, :func:`cube_moment_polys`: the integrals
+of |y|^(2k) over Q(x, r) as polynomials in r^2 with nonnegative coefficients,
+kept by the aux scan and evaluated at one radius by :func:`cube_moments`.
 """
 
 from __future__ import annotations
@@ -77,51 +79,121 @@ def inv_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
     return symmetrize((v / w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
-# ---------------------------------------------------------------------------
-# exact even radial moments over cubes
-# ---------------------------------------------------------------------------
+# LAPACK's dlamch('E'), and the band of max-abs entries in which neither
+# dsyevd (outside [2^-485, 2^485]) nor dsterf (outside [2^-405, 2^511 / 3])
+# rescales a matrix
+_EPS = 2.0 ** -53
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
 
-def _axis_even_moments(c: np.ndarray, r: float, kmax: int) -> np.ndarray:
-    """1-D integrals int_{c-r}^{c+r} t^{2a} dt for a = 0..kmax.
 
-    ``c`` may be an array of centers; the result has shape c.shape + (kmax+1,).
+def _eig2(P: np.ndarray, upper: bool) -> np.ndarray:
+    """The smallest (or largest) eigenvalue of each symmetric 2x2 matrix in
+    P (..., 2, 2), bit for bit what ``np.linalg.eigvalsh`` returns.
+
+    For d = 2, dsyevd hands the lower triangle (a, b, c) unchanged through
+    dsytrd to dsterf.  That splits the matrix when b is negligible, leaving
+    a and c, and otherwise calls dlae2; this is their arithmetic in their
+    order, then the sort.  Rows LAPACK would rescale (max-abs entry
+    outside ``_UNSCALED``, which NaN and inf are) and rows with a + c = 0
+    go to ``eigvalsh`` itself.  Four work rows are reused in place: fresh
+    block-sized temporaries cost more in page faults than in arithmetic.
     """
-    c = np.asarray(c, dtype=float)
-    out = np.empty(c.shape + (kmax + 1,))
-    hi = c + r
-    lo = c - r
-    for a in range(kmax + 1):
-        p = 2 * a + 1
-        out[..., a] = (hi ** p - lo ** p) / p
-    return out
+    a, b, c = P[..., 0, 0], P[..., 1, 0], P[..., 1, 1]
+    sm, s, u, v = np.empty((4,) + a.shape)
+    with np.errstate(all="ignore"):     # rows eigvalsh takes may overflow
+        np.add(a, c, out=sm)
+        np.maximum(np.abs(a, out=s), np.abs(c, out=u), out=v)
+        a_big = s > u                   # dlae2's acmx is a
+        np.sqrt(s, out=s)
+        s *= np.sqrt(u, out=u)
+        s *= _EPS
+        np.abs(b, out=u)
+        np.maximum(v, u, out=v)
+        ours = (v >= _UNSCALED[0]) & (v <= _UNSCALED[1]) & (sm != 0)
+        split = u <= s                  # |b| <= sqrt|a| sqrt|c| eps
+        b2 = np.multiply(b, b, out=u)
+        np.abs(np.multiply(a, c, out=s), out=s)
+        s *= _EPS ** 2
+        split |= b2 <= s                # b^2 <= eps^2 |a c|
+        rb = np.sqrt(b2, out=u)         # dlae2's b
+        # rt = max(adf, ab) sqrt(1 + (min/max)^2) with adf = |a - c|, ab = 2|b|
+        np.abs(np.subtract(a, c, out=s), out=s)
+        ab = rb + rb
+        np.maximum(s, ab, out=v)
+        np.minimum(s, ab, out=s)
+        s /= v
+        s *= s
+        s += 1.0
+        rt1 = np.sqrt(s, out=s)
+        rt1 *= v
+        # rt1 = (sm +- rt) / 2 with the sign of sm, rt2 = (acmx/rt1) acmn - (b/rt1) b
+        np.copysign(rt1, sm, out=rt1)
+        rt1 += sm
+        rt1 *= 0.5
+        rt2 = np.where(a_big, a, c)
+        rt2 /= rt1
+        rt2 *= np.where(a_big, c, a)
+        rb *= np.divide(rb, rt1, out=v)
+        rt2 -= rb
+    pick = np.maximum if upper else np.minimum
+    lam = pick(rt1, rt2, out=rt1)
+    np.copyto(lam, pick(a, c), where=split)
+    if not ours.all():
+        lam[~ours] = np.linalg.eigvalsh(P[~ours])[..., -1 if upper else 0]
+    return lam
 
 
-def cube_even_moments(center: np.ndarray, r: float, kmax: int) -> np.ndarray:
-    """Exact moments M_k = int_{Q(center, r)} |y|^(2k) dy for k = 0..kmax."""
-    return cube_even_moments_many(np.asarray(center, dtype=float)[None, :], r, kmax)[0]
+def extreme_eigvalsh(P: np.ndarray, upper: bool) -> np.ndarray:
+    """The largest (or smallest) eigenvalue of each symmetric matrix in
+    P (..., d, d), bit for bit as ``eigvalsh``: :func:`_eig2` for d = 2."""
+    if P.shape[-1] == 2:
+        return _eig2(P, upper)
+    return np.linalg.eigvalsh(P)[..., -1 if upper else 0]
 
 
-def cube_even_moments_many(centers: np.ndarray, r: float, kmax: int) -> np.ndarray:
-    """Vectorized :func:`cube_even_moments` over an (M, n) array of centers.
+# ---------------------------------------------------------------------------
+# cube moments as polynomials in t = r^2
+# ---------------------------------------------------------------------------
 
-    Works by the multinomial recursion T_j[k] = sum_a C(k, a) I_a(axis j)
-    T_{j-1}[k-a], where I_a are the 1-D even moments of axis j.
+def cube_moment_polys(X: np.ndarray, K: int) -> np.ndarray:
+    """Coefficients of the moment polynomials over an (M, n) batch of centers,
+    shape (M, K, K): entry (m, k, l) multiplies t^l in P_k, where
+    int_{Q(x_m, r)} |y|^(2k) dy = r^n P_k(r^2) for k < K.
+
+    On one axis int_{c-r}^{c+r} y^(2a) dy = r sum_l 2 C(2a+1, 2l+1)
+    c^(2a-2l) t^l / (2a+1).  The multinomial recursion over the axes,
+    T_j[k] = sum_a C(k, a) I_a(axis j) T_(j-1)[k-a], multiplies these
+    polynomials.  No term is negative: nothing cancels.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    m, n = centers.shape
-    binom = np.zeros((kmax + 1, kmax + 1))
-    for k in range(kmax + 1):
-        for a in range(k + 1):
-            binom[k, a] = math.comb(k, a)
-    acc = _axis_even_moments(centers[:, 0], r, kmax)  # (m, kmax+1)
-    for j in range(1, n):
-        ax = _axis_even_moments(centers[:, j], r, kmax)
+    m, n = X.shape
+    acc = None                          # acc[:, k, l]: coefficient of t^l in P_k
+    for j in range(n):
+        c2 = X[:, j] ** 2
+        ax = np.zeros((m, K, K))
+        for a in range(K):
+            for l in range(a + 1):
+                ax[:, a, l] = (2.0 * math.comb(2 * a + 1, 2 * l + 1) / (2 * a + 1)
+                               * c2 ** (a - l))
+        if acc is None:
+            acc = ax
+            continue
         new = np.zeros_like(acc)
-        for k in range(kmax + 1):
+        for k in range(K):
             for a in range(k + 1):
-                new[:, k] += binom[k, a] * ax[:, a] * acc[:, k - a]
+                b = k - a
+                for l in range(a + 1):
+                    new[:, k, l:l + b + 1] += (math.comb(k, a) * ax[:, a, l, None]
+                                               * acc[:, b, :b + 1])
         acc = new
     return acc
+
+
+def cube_moments(X: np.ndarray, r: float, K: int) -> np.ndarray:
+    """int_{Q(x, r)} |y|^(2k) dy for k < K over an (M, n) batch of centers,
+    shape (M, K): the polynomials of :func:`cube_moment_polys` at t = r^2."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    P = np.moveaxis(cube_moment_polys(X, K), -1, 0)
+    return r ** X.shape[1] * np.polynomial.polynomial.polyval(r * r, P)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +337,7 @@ class MatrixWeight:
         table = self.radial_table()
         if table is None:
             return None
-        mom = cube_even_moments_many(centers, r, table.shape[2] - 1)
-        return np.einsum("ijk,mk->mij", table, mom)
-
-    def exact_cube_integral(self, center, r) -> Optional[np.ndarray]:
-        out = self.exact_cube_integral_many(np.asarray(center, dtype=float)[None, :], r)
-        return None if out is None else out[0]
+        return np.einsum("ijk,mk->mij", table, cube_moments(centers, r, table.shape[2]))
 
     def qform_radial_poly(self, e: np.ndarray) -> Optional[np.ndarray]:
         """<W(x) e, e> as a polynomial in s = |x|^2, when the descriptor allows."""
@@ -374,8 +441,7 @@ class PowerWeight(MatrixWeight):
     """V(x)_ij = a_ij |x|^((gamma_i + gamma_j)/2) with A positive definite.
 
     The mixed-exponent structure makes V(x) = D(x) A D(x) with
-    D(x) = diag(|x|^(gamma_i / 2)), so V is positive definite for every
-    x != 0.  The inverse has the closed form a^{ij} |x|^(-(gamma_i+gamma_j)/2).
+    D(x) = diag(|x|^(gamma_i / 2)), so V is positive definite off the origin.
     """
 
     A: np.ndarray
@@ -410,15 +476,6 @@ class PowerWeight(MatrixWeight):
         with np.errstate(divide="ignore"):
             pw = t[:, None, None] ** G[None, :, :]
         return self.A[None, :, :] * pw
-
-    def inverse_eval(self, x) -> np.ndarray:
-        """Closed-form V(x)^{-1} = (a^{ij} |x|^{-(gamma_i+gamma_j)/2})."""
-        x = np.asarray(x, dtype=float)
-        t = float(np.linalg.norm(x))
-        if t == 0.0:
-            raise DomainError("power weight inverse is undefined at the origin")
-        Ainv = np.linalg.inv(self.A)
-        return symmetrize(Ainv * t ** (-self.exponent_table))
 
     def radial_table(self):
         # a_ij s^(G_ij / 2), a polynomial in s when every exponent is even
@@ -536,8 +593,7 @@ class NormDiagWeight(MatrixWeight):
     def norm_many(self, X) -> np.ndarray:
         if isinstance(self.base, RankOneRadialWeight):
             return self.base.norm_many(X)
-        vals = self.base.eval_many(X)
-        return np.linalg.eigvalsh(vals)[:, -1]
+        return extreme_eigvalsh(self.base.eval_many(X), True)
 
     def eval_many(self, X):
         X = np.atleast_2d(X)

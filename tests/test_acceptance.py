@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the heavy Green-field fixtures are shared across criteria.
 """
 
-import json
 import math
 
 import numpy as np

@@ -256,13 +256,15 @@ class TestReducingMatrix:
         Q = cb.Cube(center=np.array([1.0, 0.5, -0.25]), r=0.5)
         R = cf.reducing_matrix_qform(diag_poly, Q, 2.0)
         # independent oracle per axis: for diagonal weights <W e_i, e_i>^2 =
-        # v_i^2, so N(e_i) = (avg v_i^2)^(1/4) from exact radial moments
+        # v_i^2, so N(e_i) = (avg v_i^2)^(1/4), here by a tensor Gauss-Legendre
+        # rule that is exact for these polynomials
+        nodes, wts = np.polynomial.legendre.leggauss(12)
+        axes = np.meshgrid(*(c + Q.r * nodes for c in Q.center), indexing="ij")
+        s = sum(a ** 2 for a in axes)
+        w = np.einsum("i,j,k->ijk", wts, wts, wts)
         for i, e in enumerate(np.eye(2)):
-            poly = diag_poly.entries[i].radial_poly()
-            coeffs = np.convolve(poly, poly)
-            mom = mw.cube_even_moments_many(Q.center[None, :], Q.r,
-                                            len(coeffs) - 1)[0] @ coeffs
-            N = (mom / Q.volume) ** 0.25
+            v = np.polynomial.polynomial.polyval(s, diag_poly.entries[i].radial_poly())
+            N = (np.sum(w * v ** 2) * Q.r ** 3 / Q.volume) ** 0.25
             val = np.linalg.norm(R @ e)
             assert N * (1 - 1e-6) <= val <= math.sqrt(2) * N * (1 + 1e-6)
 
@@ -353,6 +355,18 @@ class TestReportMechanics:
         assert doc["class"] == "bp"
         import json
         json.dumps(doc)
+
+
+class TestEigAdapter:
+    def test_eigenvalues_have_eigvalsh_bits(self, rank_one, power13, rng):
+        # the 2x2 adapter shares the aux scan's LAPACK-exact eigenvalues; the
+        # textbook tr -+ sqrt(tr^2 - 4 det) cancels on the rank-one weight
+        X = rng.uniform(-4, 4, size=(500, 3))
+        for W in (rank_one, power13):
+            lam = np.linalg.eigvalsh(W.eval_many(X))
+            for which, col in (("min", 0), ("max", -1)):
+                got = cf._EigScalarWeight(W, which).eval_many(X)[:, 0, 0]
+                assert got.tobytes() == np.ascontiguousarray(lam[:, col]).tobytes()
 
 
 class TestCross:

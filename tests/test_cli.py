@@ -1,11 +1,9 @@
 import json
-import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mwlab import cli

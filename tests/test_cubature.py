@@ -43,7 +43,7 @@ class TestAverage:
             c = rng.uniform(-2, 2, size=3)
             r = float(rng.uniform(0.3, 1.5))
             got = cb.average(rank_one, cube(c, r))
-            expect = rank_one.exact_cube_integral(c, r) / (2 * r) ** 3
+            expect = rank_one.exact_cube_integral_many(c[None, :], r)[0] / (2 * r) ** 3
             assert np.allclose(got, expect, rtol=1e-6)
 
 
@@ -169,8 +169,8 @@ class TestGrowthAndDoubling:
             for _ in range(10):
                 x = rng.uniform(-3, 3, size=3)
                 r = float(rng.uniform(0.2, 1.5))
-                small = W.exact_cube_integral(x, r)
-                big = W.exact_cube_integral(x, 2 * r)
+                small = W.exact_cube_integral_many(x[None, :], r)[0]
+                big = W.exact_cube_integral_many(x[None, :], 2 * r)[0]
                 lam = np.linalg.eigvalsh(np.linalg.solve(small, big))
                 worst = max(worst, lam.max())
         assert np.isfinite(worst) and worst < 2000.0

@@ -1,11 +1,13 @@
-"""Source hygiene that no installed linter checks: unused imports in src/mwlab."""
+"""Source hygiene that no installed linter checks: unused imports in
+src/mwlab, the tests and the scripts."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mwlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mwlab"
 
 
 def unused_imports(source: str) -> list:
@@ -43,7 +45,13 @@ def _parse_or_empty(text: str) -> ast.AST:
         return ast.Module(body=[], type_ignores=[])
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# library modules keep their bare names as test ids
+CHECKED = ([pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
+           + [pytest.param(p, id=str(p.relative_to(ROOT)))
+              for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))])
+
+
+@pytest.mark.parametrize("path", CHECKED)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mwlab import auxmetric as am
 from mwlab import pde
 from mwlab import weights as mw
-from mwlab.errors import ConfigError, EllipticityViolation, NoConvergence
+from mwlab.errors import ConfigError, EllipticityViolation
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,32 +79,6 @@ class TestSqrtPSD:
         assert rel <= 1e-12
 
 
-class TestInvPower:
-    def test_diagonal_coefficient(self, rng):
-        W = mw.PowerWeight(A=np.eye(2), gamma=np.array([1.0, 3.0]))
-        x = rng.uniform(-2, 2, size=3)
-        t = np.linalg.norm(x)
-        assert np.allclose(W.inverse_eval(x), np.diag([t ** -1.0, t ** -3.0]))
-
-    def test_constant_case(self):
-        A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        W = mw.PowerWeight(A=A, gamma=np.zeros(2))
-        assert np.allclose(W.inverse_eval([1.0, 1.0, 1.0]), np.linalg.inv(A))
-
-    def test_product_is_identity(self, rng):
-        B = rng.standard_normal((2, 2))
-        A = B @ B.T + 2 * np.eye(2)
-        W = mw.PowerWeight(A=A, gamma=np.array([1.0, 3.0]))
-        x = np.array([1.0, 1.0, 1.0])
-        prod = W.eval(x) @ W.inverse_eval(x)
-        assert np.linalg.norm(prod - np.eye(2)) <= 1e-10
-
-    def test_rejects_origin(self):
-        W = mw.PowerWeight(A=np.eye(2), gamma=np.array([1.0, 3.0]))
-        with pytest.raises(DomainError):
-            W.inverse_eval([0.0, 0.0, 0.0])
-
-
 class TestCatalogInvariants:
     def _catalog(self, identity2, rank_one, diag_poly, power13):
         norm_diag = mw.NormDiagWeight(base=rank_one)
@@ -138,16 +115,15 @@ class TestMoments:
         for _ in range(20):
             c = rng.uniform(-3, 3, size=3)
             r = float(rng.uniform(0.1, 2.0))
-            M = mw.cube_even_moments(c, r, 1)
+            M = mw.cube_moments(c, r, 2)[0]
             vol = (2 * r) ** 3
             assert M[0] == pytest.approx(vol)
             assert M[1] == pytest.approx(vol * (c @ c + r * r), rel=1e-12)
 
     def test_second_moment_against_quadrature(self, rng):
-        from scipy.integrate import fixed_quad
         c = np.array([0.7, -0.3, 1.1])
         r = 0.9
-        M2 = mw.cube_even_moments(c, r, 2)[2]
+        M2 = mw.cube_moments(c, r, 3)[0, 2]
         # brute tensor Gauss-Legendre at high order as the independent oracle
         nodes, wts = np.polynomial.legendre.leggauss(12)
         pts = [c[i] + r * nodes for i in range(3)]
@@ -158,6 +134,21 @@ class TestMoments:
                     total += wts[i] * wts[j] * wts[k] * (xi ** 2 + yj ** 2 + zk ** 2) ** 2
         total *= r ** 3
         assert M2 == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("c,r", [((240.0, 0.0, 0.0), 1e-2),
+                                     ((1000.0, 0.5, -0.25), 1e-4)])
+    def test_far_centers_against_fractions(self, c, r):
+        # exact rational moments of the float cube; per-axis differences
+        # ((c + r)^p - (c - r)^p) / p cancel here to 9e-13 and 2.5e-10
+        c_q, r_q = [Fraction(v) for v in c], Fraction(r)
+        axis = [[((ci + r_q) ** (2 * a + 1) - (ci - r_q) ** (2 * a + 1)) / (2 * a + 1)
+                 for a in range(5)] for ci in c_q]
+        want = [float(sum(math.comb(k, a) * math.comb(k - a, b)
+                          * axis[0][a] * axis[1][b] * axis[2][k - a - b]
+                          for a in range(k + 1) for b in range(k - a + 1)))
+                for k in range(5)]
+        got = mw.cube_moments(np.array(c), r, 5)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 # every weight whose closed forms come from radial_table(), built from fixtures
