@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mwlab import pde
+from mwlab import cli, pde
 from mwlab import weights as mw
 from mwlab.errors import ConfigError, EllipticityViolation
 
@@ -65,9 +65,14 @@ class TestAssemble:
         comp_c = coo.col % 2
         assert np.all(comp_r == comp_c)
 
-    def test_exact_symmetry(self, grid13, rank_one):
-        op = pde.assemble(rank_one, None, grid13)
-        assert (op.matrix != op.matrix.T).nnz == 0
+    def test_exact_symmetry(self, grid13):
+        # DirectSolver's symmetric mode rests on this, for every catalog
+        # weight and for the norm envelope that resolvent_identity_check uses
+        for name, cfg in cli.BUILTIN_WEIGHTS.items():
+            W = mw.from_config(cfg)
+            for V in (W, mw.NormDiagWeight(base=W)):
+                op = pde.assemble(V, None, grid13)
+                assert (op.matrix != op.matrix.T).nnz == 0, (name, type(V).__name__)
 
     def test_ellipticity_violation(self, grid13):
         bad = lambda X: 1.0 + np.clip(X[:, 0], 0, None)  # exceeds Lam = 1
@@ -92,12 +97,29 @@ class TestSolve:
         x = pde.solve(op, op.matrix @ w)
         assert np.linalg.norm(x - w) / np.linalg.norm(w) <= 1e-7
 
-    def test_matches_direct_factorization(self, grid13, diag_poly, rng):
-        op = pde.assemble(diag_poly, None, grid13)
-        rhs = rng.standard_normal(op.dof)
-        x_cg = pde.solve(op, rhs)
-        x_lu = pde.DirectSolver(op).solve(rhs)
-        assert np.linalg.norm(x_cg - x_lu) / np.linalg.norm(x_lu) <= 1e-8
+    def test_matches_direct_factorization(self, grid13, diag_poly, power13, rng):
+        # power-13 has off-diagonal blocks, diag-poly has none
+        for W in (diag_poly, power13):
+            op = pde.assemble(W, None, grid13)
+            rhs = rng.standard_normal(op.dof)
+            x_cg = pde.solve(op, rhs)
+            x_lu = pde.DirectSolver(op).solve(rhs)
+            assert np.linalg.norm(x_cg - x_lu) / np.linalg.norm(x_lu) <= 1e-8
+
+    def test_block_solve_matches_column_solves(self, grid13, power13, rng):
+        op = pde.assemble(power13, None, grid13)
+        solver = pde.DirectSolver(op)
+        rhs = rng.standard_normal((op.dof, 3))
+        x = solver.solve(rhs)
+        assert x.shape == (op.dof, 3)
+        for k in range(3):
+            assert np.array_equal(x[:, k], solver.solve(rhs[:, k]))
+
+    def test_fill_of_symmetric_ordering(self, grid13, diag_poly):
+        # deterministic guard on the ordering: nnz(L + U) is 0.92M with the
+        # COLAMD column ordering and 0.42M with minimum degree on A^T + A
+        solver = pde.DirectSolver(pde.assemble(diag_poly, None, grid13))
+        assert solver.fill <= 500_000
 
     def test_residual_contract(self, grid13, rank_one, rng):
         op = pde.assemble(rank_one, None, grid13)
@@ -156,6 +178,23 @@ class TestGreen:
         G_ba = gb.blocks[grid13.index(a)]     # Gamma(a, b)
         scale = max(np.abs(G_ab).max(), 1e-300)
         assert np.abs(G_ab - G_ba.T).max() <= 1e-9 * scale
+
+    def test_lu_block_matches_column_solves(self, grid13, power13):
+        # one block solve gives the fields of d single-column solves, and
+        # residual is the largest relative residual over the columns
+        op = pde.assemble(power13, None, grid13)
+        solver = pde.DirectSolver(op)
+        pole = grid13.index((6, 5, 7))
+        gf = pde.green_field(op, pole, solver=solver)
+        res = []
+        for k in range(op.d):
+            rhs = np.zeros(op.dof)
+            rhs[pole * op.d + k] = 1.0 / grid13.h ** 3
+            g = solver.solve(rhs)
+            assert np.array_equal(gf.blocks[:, :, k], g.reshape(grid13.size, op.d))
+            res.append(np.linalg.norm(op.matrix @ g - rhs) / np.linalg.norm(rhs))
+        assert gf.residual == max(res)
+        assert gf.residual <= 1e-14
 
     def test_binary_round_trip(self, grid13, identity2, tmp_path):
         op = pde.assemble(identity2, None, grid13)
