@@ -470,12 +470,17 @@ class Report:
         return buf.getvalue()
 
     def write(self, out_dir, stem: str = "report") -> list:
+        """Write ``<stem>.json`` and ``<stem>.csv``; ValueError, before
+        anything is written, when the document fails :func:`validate_report`."""
         import os
+        doc = self.document()
+        if not validate_report(doc):
+            raise ValueError("report document does not match REPORT_SCHEMA")
         os.makedirs(out_dir, exist_ok=True)
         jpath = os.path.join(out_dir, f"{stem}.json")
         cpath = os.path.join(out_dir, f"{stem}.csv")
         with open(jpath, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.document(), fh, indent=2, sort_keys=True, allow_nan=False)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         with open(cpath, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.csv_text())
@@ -483,10 +488,13 @@ class Report:
 
 
 def validate_report(doc: dict) -> bool:
+    """Whether ``doc`` has the required keys and every row exactly the row
+    fields, in any order (``report.json`` is written with sorted keys)."""
     if not all(k in doc for k in REPORT_SCHEMA["required"]):
         return False
+    fields = set(REPORT_SCHEMA["row_fields"])
     for row in doc["rows"]:
-        if list(row.keys()) != REPORT_SCHEMA["row_fields"]:
+        if set(row) != fields:
             return False
     json.dumps(doc, allow_nan=False)
     return True

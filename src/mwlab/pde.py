@@ -4,16 +4,23 @@ The operator is -div(a grad u_i) + sum_j V_ij u_j on a uniform interior
 grid with zero Dirichlet data on the box walls: a flux-form 7-point stencil
 for the leading part (scalar a couples no components) plus a block-diagonal
 potential sampled at the nodes.  A fundamental matrix ("Green field") at a
-pole comes from its d point sources, all sent through one solve, and the
-module carries the resolvent representation identity and landscape
-functions.
+pole comes from its d point sources, and the module carries the resolvent
+representation identity and landscape functions.
+
+Green fields are solved on the structure the operator has.  The free
+operator (a == 1, V == 0) is the Dirichlet Laplacian times I_d, which the
+type-I sine transform diagonalizes: :class:`SineSolver` solves it exactly
+at any N.  Jacobi-CG runs one system per group of components that the
+potential couples, so a diagonal potential gives d scalar systems.  Sparse
+LU (:class:`DirectSolver`) is the machine-precision oracle for small grids.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -82,7 +89,11 @@ class Grid3:
 
 @dataclass
 class DiscreteOperator:
-    """Assembled sparse symmetric positive definite system."""
+    """Assembled sparse symmetric positive definite system.
+
+    ``free_laplacian`` is set by :func:`assemble` when a == 1 and V == 0:
+    the matrix is then exactly the Dirichlet Laplacian times I_d.
+    """
 
     grid: Grid3
     d: int
@@ -90,10 +101,35 @@ class DiscreteOperator:
     potential_blocks: np.ndarray       # (size, d, d) node samples of V
     boundary_faces: list               # (axis, side, node_ids, face_coeff) tuples
     weight: Optional[MatrixWeight] = None
+    free_laplacian: bool = field(default=False, init=False)
 
     @property
     def dof(self) -> int:
         return self.grid.size * self.d
+
+    @cached_property
+    def component_groups(self) -> list:
+        """The components, grouped by the coupling graph of the off-diagonal
+        potential blocks (nonzero at any node), each group ascending."""
+        coupled = np.any(self.potential_blocks != 0, axis=0)
+        reach = coupled | coupled.T | np.eye(self.d, dtype=bool)
+        for _ in range(self.d):  # transitive closure
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        return [np.flatnonzero(row).tolist() for i, row in enumerate(reach)
+                if np.argmax(row) == i]
+
+    @cached_property
+    def _cg_systems(self) -> list:
+        """(dof indices, sub-matrix, inverse diagonal) of each component group."""
+        systems = []
+        for group in self.component_groups:
+            if len(group) == self.d:
+                idx, A = slice(None), self.matrix
+            else:
+                idx = (np.arange(self.grid.size)[:, None] * self.d + group).ravel()
+                A = self.matrix[idx][:, idx]
+            systems.append((idx, A, 1.0 / A.diagonal()))
+        return systems
 
 
 def _face_values(a_field, grid: Grid3):
@@ -193,30 +229,39 @@ def assemble(W: Optional[MatrixWeight], a_field: Optional[Callable], grid: Grid3
                             shape=(size * d, size * d)).tocsr()
     matrix = (leading + pot).tocsr()
     matrix.sum_duplicates()
-    return DiscreteOperator(grid=grid, d=d, matrix=matrix, potential_blocks=blocks,
-                            boundary_faces=boundary_faces, weight=W)
+    op = DiscreteOperator(grid=grid, d=d, matrix=matrix, potential_blocks=blocks,
+                          boundary_faces=boundary_faces, weight=W)
+    op.free_laplacian = a_field is None and not np.any(blocks)
+    return op
 
 
 def solve(op: DiscreteOperator, rhs: np.ndarray, tol: float = SOLVE_TOL) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients to a true relative residual.
 
+    One CG runs on each group of components that the potential couples
+    (all d for a coupled potential, one each for a diagonal one); each meets
+    ``tol`` on its part of ``rhs``, so the whole residual does too.
     Deterministic (fixed iteration order); raises NoConvergence past the
-    20 N d iteration budget.
+    20 N d iteration budget of the full operator.
     """
-    A = op.matrix
     b = np.asarray(rhs, dtype=float).ravel()
     if b.shape[0] != op.dof:
         raise ConfigError("right-hand side size mismatch")
+    x = np.zeros_like(b)
+    for idx, A, dinv in op._cg_systems:
+        x[idx] = _jacobi_cg(A, dinv, b[idx], tol, 20 * op.grid.N * op.d)
+    return x
+
+
+def _jacobi_cg(A, dinv: np.ndarray, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    dinv = 1.0 / A.diagonal()
     x = np.zeros_like(b)
     r = b.copy()
     z = dinv * r
     p = z.copy()
     rz = float(r @ z)
-    max_iter = 20 * op.grid.N * op.d
     for _ in range(max_iter):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
@@ -259,10 +304,54 @@ class DirectSolver:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
-def solver_for(op: DiscreteOperator) -> Optional[DirectSolver]:
-    """The solver policy: sparse LU for grids with N <= 20, else None, which
-    makes :func:`green_field` and :func:`landscape` run Jacobi-CG."""
-    return DirectSolver(op) if op.grid.N <= 20 else None
+class SineSolver:
+    """Exact solve of the free operator, the Dirichlet Laplacian times I_d.
+
+    The type-I sine transform S_ij = sqrt(2/(N+1)) sin(pi i j/(N+1)) is
+    symmetric, orthogonal and diagonalizes the 1-D Dirichlet Laplacian
+    along each axis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970), so g = S (S b / lam) with eigenvalues
+    lam_ijk = (4/h^2) (sin^2 t_i + sin^2 t_j + sin^2 t_k), t_i = pi i/(2(N+1)).
+    S is applied as a dense N x N matrix along each axis.
+    """
+
+    def __init__(self, op: DiscreteOperator):
+        if not op.free_laplacian:
+            raise ConfigError("the sine solve needs a == 1 and a zero potential")
+        self.op = op
+        N = op.grid.N
+        j = np.arange(1, N + 1)
+        # i j reduced mod 2(N+1) keeps every angle in [0, 2 pi)
+        self._S = math.sqrt(2.0 / (N + 1)) * np.sin(
+            np.pi * (np.outer(j, j) % (2 * (N + 1))) / (N + 1))
+        lam = 4.0 / op.grid.h ** 2 * np.sin(np.pi * j / (2 * (N + 1))) ** 2
+        self._lam = lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
+
+    def _transform(self, x: np.ndarray) -> np.ndarray:
+        # x is (m, N, N, N); each contraction takes the first grid axis and
+        # appends it transformed, so three of them restore the axis order
+        for _ in range(3):
+            x = np.tensordot(x, self._S, axes=([1], [0]))
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a (dof,) vector or a (dof, k) block, one call for all k."""
+        b = np.asarray(rhs, dtype=float)
+        N = self.op.grid.N
+        cols = np.moveaxis(b.reshape(N, N, N, -1), 3, 0)     # (d k, N, N, N)
+        g = self._transform(self._transform(cols) / self._lam)
+        return np.moveaxis(g, 0, 3).reshape(b.shape)
+
+
+def _exact_solver(op: DiscreteOperator) -> DirectSolver | SineSolver:
+    return SineSolver(op) if op.free_laplacian else DirectSolver(op)
+
+
+def solver_for(op: DiscreteOperator) -> Optional[DirectSolver | SineSolver]:
+    """The solver policy: the sine solve for the free operator at every N,
+    sparse LU for other operators with N <= 20, else None, which makes
+    :func:`green_field` and :func:`landscape` run Jacobi-CG."""
+    return _exact_solver(op) if op.free_laplacian or op.grid.N <= 20 else None
 
 
 @dataclass
@@ -277,13 +366,15 @@ class GreenField:
 
 
 def green_field(op: DiscreteOperator, pole, tol: float = SOLVE_TOL,
-                solver: Optional[DirectSolver] = None,
+                solver: Optional[DirectSolver | SineSolver] = None,
                 boundary_data: Optional[Callable] = None) -> GreenField:
     """Fundamental matrix column block at one pole: solve op g = e_k delta/h^3.
 
-    The d right-hand sides go to ``solver`` as one (dof, d) block; without
-    a solver, Jacobi-CG solves them one column at a time.  ``residual`` is
-    the largest relative residual over the columns.
+    The d right-hand sides go to ``solver`` (a :class:`DirectSolver` or
+    :class:`SineSolver`) as one (dof, d) block.  Without a solver the free
+    operator takes the sine solve and any other operator Jacobi-CG, one
+    column at a time.  ``residual`` is the largest relative residual over
+    the columns.
 
     ``boundary_data``, when given, imposes inhomogeneous Dirichlet values
     g(x_wall) -> (d, d) on the box walls (used to validate the free-space
@@ -306,6 +397,8 @@ def green_field(op: DiscreteOperator, pole, tol: float = SOLVE_TOL,
             gvals = np.asarray(boundary_data(pts), dtype=float)  # (M, d, d)
             wall_rhs[node_ids] += coeff[:, None, None] * gvals
     rhs[pole * d + np.arange(d), np.arange(d)] += 1.0 / h3
+    if solver is None and op.free_laplacian:
+        solver = SineSolver(op)
     if solver is not None:
         g = solver.solve(rhs)
     else:
@@ -340,8 +433,10 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
     G0 - GV = G0 M_Lam GLam + GLam (M_V - M_Lam) GV
 
     with M_* the node potentials and h^3-weighted sums over all nodes.  The
-    identity is exact for discrete inverses, so direct factorizations make
-    the error solver-precision small.
+    identity is exact for discrete inverses, so exact solvers make the
+    error solver-precision small: the sine solve for each of the three
+    operators that is free (the zero one whenever ``a_field`` is None),
+    sparse LU for the others.
     """
     d = W.d
     Lambda = NormDiagWeight(base=W)
@@ -350,7 +445,7 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
         "lam": assemble(Lambda, a_field, grid, lam=lam, Lam=Lam),
         "pot": assemble(W, a_field, grid, lam=lam, Lam=Lam),
     }
-    solvers = {k: DirectSolver(v) for k, v in ops.items()}
+    solvers = {k: _exact_solver(v) for k, v in ops.items()}
     if isinstance(pole, (tuple, list)):
         pole = grid.index(pole)
     h3 = grid.h ** 3
@@ -385,7 +480,7 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
 # ---------------------------------------------------------------------------
 
 def landscape(op: DiscreteOperator, x0, tol: float = SOLVE_TOL,
-              solver: Optional[DirectSolver] = None) -> dict:
+              solver: Optional[DirectSolver | SineSolver] = None) -> dict:
     """u(x0) = h^3 sum_y |Gamma(x0, y)| with the auxiliary comparands.
 
     Returns u together with 1/m_lower(x0)^2 and 1/m_upper(x0)^2 computed on

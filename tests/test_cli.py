@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mwlab import cli
+from mwlab import cli, ineqlab
 from mwlab import pde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,6 +115,8 @@ class TestBundles:
         assert rc == 0
         gf = pde.load_green_binary(out / "green.field")
         assert gf.d == 2 and gf.grid.N == 13
+        doc = json.loads((out / "report.json").read_text())
+        assert len(doc["rows"]) == 3 * 13 and ineqlab.validate_report(doc)
 
     def test_aux_field_bundle(self, tmp_path):
         out = tmp_path / "a"

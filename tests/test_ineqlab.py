@@ -235,6 +235,34 @@ class TestReport:
         paths2 = build().write(tmp_path / "out2")
         assert open(paths[1], "rb").read() == open(paths2[1], "rb").read()
 
+    def test_written_json_validates(self, tmp_path):
+        rep = il.Report({"seed": 3})
+        rep.add_row("fp", "identity", "ratio", [0.5, 0.5, 0.5], 1.25)
+        rep.add_result("slope", 0.9)
+        jpath, _ = rep.write(tmp_path / "out")
+        with open(jpath, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # the file is written with sorted keys, so the row order changes
+        assert list(doc["rows"][0]) == sorted(il.REPORT_SCHEMA["row_fields"])
+        assert il.validate_report(doc)
+
+    def test_row_fields_must_match_exactly(self):
+        rep = il.Report({})
+        rep.add_row("fp", "identity", "ratio", 1, 0.5)
+        doc = rep.document()
+        del doc["rows"][0]["x"]
+        assert not il.validate_report(doc)
+        doc["rows"][0]["x"], doc["rows"][0]["extra"] = "1", 0
+        assert not il.validate_report(doc)
+
+    def test_write_refuses_an_invalid_document(self, tmp_path):
+        rep = il.Report({})
+        rep.add_row("fp", "identity", "ratio", 1, 0.5)
+        rep.rows[0]["extra"] = 0
+        with pytest.raises(ValueError):
+            rep.write(tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
     def test_json_rejects_nan(self):
         rep = il.Report({})
         rep.add_result("bad", float("nan"))

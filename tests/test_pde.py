@@ -128,9 +128,148 @@ class TestSolve:
         assert np.linalg.norm(op.matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_solver_policy_switches_to_cg_above_N20(self):
-        lu = pde.solver_for(pde.assemble(None, None, pde.Grid3(L=1.0, N=20), d=1))
+        v = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),))  # |x|^2
+        lu = pde.solver_for(pde.assemble(v, None, pde.Grid3(L=1.0, N=20)))
         assert isinstance(lu, pde.DirectSolver)
-        assert pde.solver_for(pde.assemble(None, None, pde.Grid3(L=1.0, N=21), d=1)) is None
+        assert pde.solver_for(pde.assemble(v, None, pde.Grid3(L=1.0, N=21))) is None
+        # the free operator takes the sine solve on both sides of N = 20
+        for N in (20, 21):
+            free = pde.assemble(None, None, pde.Grid3(L=1.0, N=N), d=1)
+            assert isinstance(pde.solver_for(free), pde.SineSolver)
+
+
+class OneNodeCoupling(mw.MatrixWeight):
+    """I_3 plus 1/2 in entries (0, 2) and (2, 0) at the one node ``at``."""
+
+    n, d = 3, 3
+    singular_at_origin = False
+
+    def __init__(self, at):
+        self.at = np.asarray(at, dtype=float)
+
+    def eval_many(self, X):
+        X = np.atleast_2d(X)
+        out = np.broadcast_to(np.eye(3), (X.shape[0], 3, 3)).copy()
+        hit = np.all(np.abs(X - self.at) <= 1e-12, axis=1)
+        out[hit, 0, 2] = out[hit, 2, 0] = 0.5
+        return out
+
+    def to_config(self):
+        return {"kind": "one-node-coupling", "n": 3, "d": 3}
+
+
+class TestComponentGroups:
+    def test_diagonal_potentials_split(self, grid13, identity2, diag_poly):
+        for W in (identity2, diag_poly):
+            assert pde.assemble(W, None, grid13).component_groups == [[0], [1]]
+
+    def test_coupled_potentials_form_one_group(self, grid13, power13, rank_one):
+        for W in (power13, rank_one):
+            assert pde.assemble(W, None, grid13).component_groups == [[0, 1]]
+
+    def test_coupling_at_a_single_node_joins_a_group(self, grid13):
+        W = OneNodeCoupling(grid13.node(grid13.index((3, 4, 5))))
+        op = pde.assemble(W, None, grid13)
+        assert int(np.count_nonzero(op.potential_blocks[:, 0, 2])) == 1
+        assert op.component_groups == [[0, 2], [1]]
+        pole = grid13.index((4, 4, 5))
+        cg = pde.green_field(op, pole)
+        lu = pde.green_field(op, pole, solver=pde.DirectSolver(op))
+        assert np.abs(cg.blocks[:, 0, 2]).max() > 0   # the coupling is felt
+        rel = np.linalg.norm(cg.blocks - lu.blocks) / np.linalg.norm(lu.blocks)
+        assert rel <= 1e-8
+        assert cg.residual <= pde.SOLVE_TOL
+
+    def test_cg_fields_match_direct(self, grid13, identity2, diag_poly, power13):
+        for W in (diag_poly, identity2, mw.NormDiagWeight(base=power13)):
+            op = pde.assemble(W, None, grid13)
+            cg = pde.green_field(op, (6, 5, 7))
+            lu = pde.green_field(op, (6, 5, 7), solver=pde.DirectSolver(op))
+            rel = np.linalg.norm(cg.blocks - lu.blocks) / np.linalg.norm(lu.blocks)
+            assert rel <= 1e-8, type(W).__name__
+            assert cg.residual <= pde.SOLVE_TOL
+
+
+def _eigh_reference(op, rhs):
+    """Solve the free operator through LAPACK's eigendecomposition of the
+    1-D Dirichlet stencil: a reference independent of the sine formulas."""
+    N, h = op.grid.N, op.grid.h
+    T = (2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)) / h ** 2
+    w, Q = np.linalg.eigh(T)
+    lam = w[:, None, None] + w[None, :, None] + w[None, None, :]
+    b = rhs.reshape(N, N, N, -1)
+    c = np.einsum("ai,bj,ck,abcm->ijkm", Q, Q, Q, b, optimize=True) / lam[..., None]
+    return np.einsum("ai,bj,ck,ijkm->abcm", Q, Q, Q, c, optimize=True).reshape(rhs.shape)
+
+
+class TestSineSolve:
+    @pytest.mark.parametrize("N", [13, 19])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_direct_solver(self, N, d):
+        g = pde.Grid3(L=2.0, N=N)
+        op = pde.assemble(None, None, g, d=d)
+        lu = pde.DirectSolver(op)
+        mid = (N // 2,) * 3
+        y0 = g.node(g.index(mid))
+        for data in (None, pde.free_space_kernel(y0, d)):
+            sine = pde.green_field(op, mid, boundary_data=data)
+            ref = pde.green_field(op, mid, solver=lu, boundary_data=data)
+            rel = np.linalg.norm(sine.blocks - ref.blocks) / np.linalg.norm(ref.blocks)
+            assert rel <= 1e-12
+            assert sine.residual <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_eigendecomposition_at_N40(self, d):
+        # sparse LU of the N = 40 operator takes about 12 s and 1 GB, so the
+        # reference here is the dense eigendecomposition of the 1-D stencil
+        g = pde.Grid3(L=3.0, N=40)
+        op = pde.assemble(None, None, g, d=d)
+        mid = (20, 20, 20)
+        y0 = g.node(g.index(mid))
+        for data in (None, pde.free_space_kernel(y0, d)):
+            sine = pde.green_field(op, mid, boundary_data=data)
+            rhs = np.zeros((op.dof, d))
+            rhs[g.index(mid) * d + np.arange(d), np.arange(d)] = 1.0 / g.h ** 3
+            if data is not None:
+                for axis, side, node_ids, coeff in op.boundary_faces:
+                    pts = g.nodes()[node_ids]
+                    pts[:, axis] = -g.L if side == 0 else g.L
+                    rhs.reshape(g.size, d, d)[node_ids] += coeff[:, None, None] * data(pts)
+            ref = _eigh_reference(op, rhs).reshape(g.size, d, d)
+            rel = np.linalg.norm(sine.blocks - ref) / np.linalg.norm(ref)
+            assert rel <= 1e-12
+            assert sine.residual <= 1e-13
+
+    def test_block_solve_matches_column_solves(self, grid13, rng):
+        solver = pde.SineSolver(pde.assemble(None, None, grid13, d=2))
+        rhs = rng.standard_normal((solver.op.dof, 3))
+        x = solver.solve(rhs)
+        assert x.shape == rhs.shape
+        for k in range(3):
+            # BLAS may sum a block in another order than a single column
+            col = solver.solve(rhs[:, k])
+            assert np.linalg.norm(x[:, k] - col) <= 1e-14 * np.linalg.norm(col)
+
+    def test_which_operators_qualify(self, grid13, identity2):
+        zero = mw.ConstantWeight(np.zeros((2, 2)), n=3)
+        assert pde.assemble(None, None, grid13, d=2).free_laplacian
+        assert pde.assemble(zero, None, grid13).free_laplacian
+        one = lambda X: np.ones(X.shape[0])
+        for op in (pde.assemble(zero, one, grid13), pde.assemble(identity2, None, grid13)):
+            assert not op.free_laplacian
+            with pytest.raises(ConfigError):
+                pde.SineSolver(op)
+
+    def test_explicit_solver_is_honored(self, grid13, monkeypatch):
+        op = pde.assemble(None, None, grid13, d=2)
+        sine = pde.green_field(op, (6, 6, 6))
+
+        def refuse(self, rhs):
+            raise AssertionError("sine solve ran despite an explicit solver")
+
+        monkeypatch.setattr(pde.SineSolver, "solve", refuse)
+        lu = pde.green_field(op, (6, 6, 6), solver=pde.DirectSolver(op))
+        assert np.linalg.norm(lu.blocks - sine.blocks) <= 1e-12 * np.linalg.norm(lu.blocks)
 
 
 class TestGreen:
@@ -220,6 +359,22 @@ class TestResolventIdentity:
         err = pde.resolvent_identity_check(W, grid13, (6, 6, 6),
                                            x_list=[(2, 3, 4), (10, 4, 8)])
         assert err <= 1e-8
+
+    def test_free_operators_are_never_factored(self, grid13, diag_poly, monkeypatch):
+        factored = []
+        init = pde.DirectSolver.__init__
+
+        def record(self, op):
+            factored.append(op.free_laplacian)
+            init(self, op)
+
+        monkeypatch.setattr(pde.DirectSolver, "__init__", record)
+        pde.resolvent_identity_check(diag_poly, grid13, (6, 6, 6), x_list=[(3, 3, 3)])
+        assert factored == [False, False]          # the Lambda and V operators
+        factored.clear()
+        pde.resolvent_identity_check(mw.ConstantWeight(np.zeros((2, 2)), n=3), grid13,
+                                     (6, 6, 6), x_list=[(3, 3, 3)])
+        assert factored == []
 
     def test_catalog_weights(self, grid13, rank_one, diag_poly):
         for W in (rank_one, diag_poly):
