@@ -2,7 +2,7 @@
 """Run the reference invocations of the lab and check that their outputs
 stay byte for byte the same.
 
-The reference set is the 15 CLI bundles below and two ``cross_checks``
+The reference set is the 16 CLI bundles below and two ``cross_checks``
 dumps (power-13 and rank-one on the fixed families of the ``certify-quad``
 benchmark workload).  Every run is its own subprocess with BLAS at one
 thread, started inside the output root with a relative ``--out``.
@@ -41,6 +41,7 @@ INVOCATIONS = (
     ("aux_diag_poly_upper", ["aux", "--weight", "diag-poly", "--grid", "1.0,6",
                              "--kind", "upper"]),
     ("aux_diag_ordered", ["aux", "--weight", "diag-ordered", "--grid", "1.5,6"]),
+    ("aux_power13", ["aux", "--weight", "power-13", "--grid", "1.0,4"]),
     ("agmon_diag_poly", ["agmon", "--weight", "diag-poly", "--grid", "1.0,6",
                          "--source", "3,3,3", "--norm", "l2"]),
     ("green_diag_poly", ["green", "--weight", "diag-poly", "--grid", "13,2.0"]),

@@ -15,9 +15,12 @@ criterion from them on blocks of ladder rungs and in the bisection.  When
 every off-diagonal coefficient is exactly zero, the lower and upper criteria
 are the min and max of the diagonal.  Otherwise, for d = 2, a vectorized port
 of LAPACK's 2x2 eigenvalue arithmetic (dsterf and dlae2) decides, with the
-bits ``eigvalsh`` returns; larger d goes to ``eigvalsh``.  Any other weight
-takes the quadrature route: one adaptive integral per point and radius, on a
-coarser ladder.
+bits ``eigvalsh`` returns; larger d goes to ``eigvalsh``.  A weight given as
+a sum of powers of |x| with other exponents (the power weights with odd
+gamma, say) reads Psi from :func:`mwlab.cubature.terms_cube_integrals`, one
+call per block of rungs over every point of the block, on the same ladder.
+Any other weight takes the quadrature route: one adaptive integral per point
+and radius, on a coarser ladder.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .cubature import Cube, adaptive_integrate
+from .cubature import Cube, adaptive_integrate, engine_terms, terms_cube_integrals
 from .errors import BracketFailure, ConfigError, DomainError
 from .weights import (ConstantWeight, MatrixWeight, ScalarDiagWeight, ScalarWeight,
                       cube_moment_polys, extreme_eigvalsh, symmetrize)
@@ -114,6 +117,21 @@ def _poly_criterion(C: np.ndarray, kind: str, e: Optional[np.ndarray]):
     return lambda r: _matrix_criterion(_horner(C, r * r), kind, e)
 
 
+def _terms_criterion(terms, X: np.ndarray, kind: str, e: Optional[np.ndarray]):
+    """The criterion from the cube integrals of a weight's power terms: each
+    block of rungs and points is one batch of cubes.  Psi(x, r) depends only
+    on x and r, so every criterion kind sees the same values."""
+    m, n = X.shape
+
+    def crit(r):
+        r = np.broadcast_to(r, (r.shape[0], m))
+        centers = np.broadcast_to(X, r.shape + (n,)).reshape(-1, n)
+        P = terms_cube_integrals(terms, centers, r.ravel())
+        P *= (r.ravel() ** (2 - n))[:, None, None]
+        return _matrix_criterion(P.reshape(r.shape + P.shape[1:]), kind, e)
+    return crit
+
+
 def _quad_criterion(W: MatrixWeight, X: np.ndarray, kind: str, e: Optional[np.ndarray]):
     """The criterion for weights without closed-form cube integrals, from
     per-point adaptive quadrature at tolerance 1e-3 and level cap 3."""
@@ -152,10 +170,13 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
         e = np.asarray(e, dtype=float)
         e = e / np.linalg.norm(e)
     coeffs = _psi_coeffs(W, X)
-    if coeffs is None:
-        crit, density = _quad_criterion(W, X, kind, e), COARSE_PER_DECADE
-    else:
+    terms = engine_terms(W) if coeffs is None else None
+    if coeffs is not None:
         crit, density = _poly_criterion(coeffs, kind, e), SCAN_PER_DECADE
+    elif terms is not None:
+        crit, density = _terms_criterion(terms, X, kind, e), SCAN_PER_DECADE
+    else:
+        crit, density = _quad_criterion(W, X, kind, e), COARSE_PER_DECADE
     lo, hi = R_BRACKET
     decades = math.log10(hi / lo)
     ladder = np.geomspace(lo, hi, int(round(decades * density)) + 1)
@@ -184,9 +205,9 @@ def aux_values_many(W, X: np.ndarray, kind: str = "lower",
 
     r_lo = ladder[left]
     r_hi = ladder[left + 1]
-    # quadrature-backed weights keep the ladder's quadrature through bisection:
-    # all criterion kinds then see the same deterministic Psi(x, r), which is
-    # what makes the lower/directional/upper ordering exact by construction
+    # every route keeps its Psi(x, r) through bisection: all criterion kinds
+    # then see the same deterministic values, which is what makes the
+    # lower/directional/upper ordering exact by construction
     it = int(math.ceil(math.log2(math.log(ladder[1] / ladder[0]) / BISECT_RTOL))) + 2
     for _ in range(it):
         mids = np.sqrt(r_lo * r_hi)

@@ -9,6 +9,11 @@ nested family refinements.  A refinement only appends a finer level to the
 cube list, so the stability verdict sweeps the second refinement once and
 reads the three nested estimates off prefixes of that one sweep.
 
+Nor does a finite family certify anything about a singular point that its
+cubes miss: a weight singular at the origin is tested there only by the
+cubes that hold or approach the origin.  The dyadic family puts the origin
+on cube corners; the random family hits it only by chance.
+
 Certified classes and their constants:
 
 * reverse Hoelder (``bp``): directional p-average vs average quadratic form;
@@ -145,13 +150,22 @@ class _DetRootWeight(MatrixWeight):
 
 
 def _avg(W: MatrixWeight, cube: Cube, tol: float) -> np.ndarray:
-    """Certifier-grade cube mean: adaptive quadrature, last level on overrun."""
+    """Certifier-grade cube mean.  Exact when the weight has closed-form cube
+    integrals (a radial table, or power terms through the engine of
+    :mod:`mwlab.cubature`), with +inf entries where W is not integrable on
+    the cube; otherwise adaptive quadrature, last level on overrun."""
     exact = W.exact_cube_integral_many(cube.center[None, :], cube.r)
     if exact is not None:
         return symmetrize(exact[0]) / cube.volume
     total = adaptive_integrate(W.eval_many, cube, singular=W.singular_at_origin,
                                tol=tol, max_level=CERT_MAX_LEVEL + 1).value
     return symmetrize(np.atleast_2d(total.reshape(W.d, W.d))) / cube.volume
+
+
+def _diverges(avg: np.ndarray) -> bool:
+    """An infinite cube mean: W is not integrable on the cube, so no constant
+    of a max-type class holds there and the cube scores +inf."""
+    return not np.all(np.isfinite(avg))
 
 
 DIVERGENCE_GROWTH = 1.05   # level-to-level growth flagging a divergent integral
@@ -217,6 +231,8 @@ def _directional_p_integrals(W: MatrixWeight, cube: Cube, dirs: np.ndarray,
 def _bp_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int,
              direction: Optional[np.ndarray] = None):
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return math.inf, (direction if direction is not None else np.eye(W.d)[0])
     dirs = direction[None, :] if direction is not None else _bp_directions(avg, W.d, seed)
     dens = np.einsum("ij,ki,kj->k", avg, dirs, dirs)
     if dens.min() < 1e-14:
@@ -276,6 +292,8 @@ def _reducing_matrix_qform(W: MatrixWeight, cube: Cube, p: float, tol: float,
 def _bp_det_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int) -> float:
     R = reducing_matrix_qform(W, cube, p, tol=tol, seed=seed)
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return math.inf
     den = math.sqrt(max(float(np.linalg.det(avg)), 0.0))
     if den <= 1e-300:
         raise Degenerate("average has vanishing determinant")
@@ -312,6 +330,8 @@ def _log_det_average(W: MatrixWeight, cube: Cube, tol: float) -> float:
 
 def _a2inf_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return math.inf
     det = float(np.linalg.det(avg))
     mean_log = _log_det_average(W, cube, tol)
     return det / math.exp(mean_log)
@@ -327,6 +347,8 @@ def _apinf_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int) ->
 
 def _rbm_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return math.inf
     det = max(float(np.linalg.det(avg)), 0.0)
     lhs = det ** (1.0 / W.d)
 

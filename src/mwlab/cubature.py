@@ -1,17 +1,21 @@
-"""Cube geometry, adaptive tensor quadrature, scale-weighted averages,
-the minimum-volume ellipsoid behind reducing matrices, and the determinant
-inequalities.
+"""Cube geometry, adaptive tensor quadrature, cube integrals of radial
+powers, scale-weighted averages, the minimum-volume ellipsoid behind reducing
+matrices, and the determinant inequalities.
 
 All averaging in the laboratory happens over axis-aligned cubes Q(x, r)
 with center x and half-side r (side length 2r).  The quadrature engine is a
 composite tensor rule refined adaptively until two successive levels agree.
 The closed-form cube integrals of :mod:`mwlab.weights` are a second route:
 ``psi(method="exact")`` uses them, and the tests check them against the
-quadrature.
+quadrature.  For weights given as sums of powers of |x| they read
+:func:`power_cube_integrals`, which integrates |y|^a over a batch of cubes
+without adaptive refinement (Duffy's corner split, SIAM J. Numer. Anal. 19,
+1982, for cubes near the singular point).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -20,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureNonConvergence
-from .weights import MatrixWeight, symmetrize
+from .weights import MatrixWeight, cube_moments, symmetrize
 
 QUAD_TOL = 1e-6
 MAX_LEVEL = 7
@@ -163,6 +167,229 @@ def adaptive_integrate(fn, cube: Cube, *, singular: bool = False, tol: float = Q
     return Integral(prev, False, growth)
 
 
+# ---------------------------------------------------------------------------
+# cube integrals of |y|^a: moments, far Gauss and the corner split
+# ---------------------------------------------------------------------------
+
+_SPLIT_DIM = 3             # the corner split's closed form is three-dimensional
+_SPLIT_POINTS = 12         # Gauss-Legendre points per interval of the corner split
+_ENGINE_NODES = 1 << 16    # nodes per evaluation chunk of the engine
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], built on first use and
+    shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    rule = (0.5 * (x + 1.0), 0.5 * w)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _is_even(a: np.ndarray) -> np.ndarray:
+    return (a >= 0) & (np.mod(a, 2.0) == 0)
+
+
+def _distance_to_origin(C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Euclidean distance from the origin to each closed cube Q(c_k, r_k)."""
+    gap = np.maximum(np.abs(C) - r[:, None], 0.0)
+    return np.sqrt(np.einsum("ki,ki->k", gap, gap))
+
+
+def _far_gauss(C: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """int_Q |y|^a over cubes at distance >= r from the origin: tensor
+    Gauss-Legendre.  |y|^a is analytic on an ellipse around each axis segment
+    whose size grows with delta = distance / r, so an order of
+    ceil(15 / asinh(delta)) + 2 keeps the error below about 1e-13 relative
+    (20 points at delta = 1, 4 at delta = 1000)."""
+    k, n = C.shape
+    delta = _distance_to_origin(C, r) / r
+    order = np.ceil(15.0 / np.arcsinh(delta)).astype(int) + 2
+    out = np.empty((k, a.size))
+    for q in np.unique(order):
+        x, w = _gauss01(int(q))
+        x = 2.0 * x - 1.0
+        wt = w
+        for _ in range(n - 1):
+            wt = np.multiply.outer(wt, w)
+        wt = wt.ravel() * 2.0 ** n
+        idx = np.nonzero(order == q)[0]
+        step = max(1, _ENGINE_NODES // wt.size)
+        for s0 in range(0, idx.size, step):
+            sel = idx[s0:s0 + step]
+            ax = C[sel, :, None] + r[sel, None, None] * x      # (m, n, q)
+            s = ax[:, 0] ** 2
+            for j in range(1, n):
+                s = (s[..., None] + (ax[:, j] ** 2).reshape((-1,) + (1,) * j + (int(q),)))
+            s = s.reshape(sel.size, -1)
+            for e, ae in enumerate(a):
+                out[sel, e] = (s ** (0.5 * ae) * wt).sum(axis=-1) * r[sel] ** n
+    return out
+
+
+def _corner_boxes(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q(c, r) as a signed sum of at most 2^n boxes with a corner at the origin.
+
+    Per axis, [c - r, c + r] is [0, hi] + [0, |lo|] when it straddles 0 and
+    [0, far end] - [0, near end] otherwise (|y|^a is even in each
+    coordinate).  Returns sides (K, 2^n, n) and signs (K, 2^n); boxes with a
+    zero side get sign 0 and sides 1.
+    """
+    k, n = C.shape
+    lo, hi = np.abs(C - r[:, None]), np.abs(C + r[:, None])
+    straddle = (C - r[:, None] < 0) & (C + r[:, None] > 0)
+    ends = np.stack([np.maximum(lo, hi), np.minimum(lo, hi)], axis=-1)      # (K, n, 2)
+    sgn = np.stack([np.ones_like(lo), np.where(straddle, 1.0, -1.0)], axis=-1)
+    pick = np.array(list(itertools.product((0, 1), repeat=n)))              # (2^n, n)
+    sides = ends[:, np.arange(n), pick]                                     # (K, 2^n, n)
+    signs = np.prod(sgn[:, np.arange(n), pick], axis=-1)
+    dead = np.any(sides <= 0.0, axis=-1)
+    signs[dead] = 0.0
+    sides[dead] = 1.0
+    return sides, signs
+
+
+def _corner_split(C: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """int_Q |y|^a for n = 3 and a > -3, through corner boxes [0, b1]x[0, b2]x[0, b3].
+
+    Ordering y_i / b_i cuts a box into 6 orthoschemes (k, m, m').  Scaling
+    along the largest ratio (Duffy) and then along the middle one leaves
+
+        int = b1 b2 b3 / (3 + a) sum_(k, m, m') int_0^1 G(b_k, sigma(w)) dw,
+        sigma(w)^2 = b_m^2 + b_m'^2 w^2,
+        G(beta, sigma) = int_0^1 t (beta^2 + t^2 sigma^2)^(a/2) dt
+                       = beta^(a+2) expm1(p L) / (2 p sigma^2),
+
+    with p = a/2 + 1 and L = log1p(sigma^2 / beta^2) (L / (2 sigma^2) at
+    p = 0).  G is analytic in w except at w = +-i eta, eta = hypot(b_k, b_m)
+    / b_m', so [0, 1] is cut at eta, 2 eta, 4 eta, ... below 1 and each
+    interval gets 12 Gauss points: thin corner boxes cost intervals, not a
+    higher order everywhere.
+    """
+    k = C.shape[0]
+    perms = np.array(list(itertools.permutations(range(3))))               # (6, 3)
+    x, w = _gauss01(_SPLIT_POINTS)
+    out = np.empty((k, a.size))
+    step = max(1, _ENGINE_NODES // (8 * 6 * _SPLIT_POINTS))
+    for s0 in range(0, k, step):
+        sides, signs = _corner_boxes(C[s0:s0 + step], r[s0:s0 + step])
+        b = sides.reshape(-1, 3)
+        beta, bm, bmp = (b[:, perms[:, i]].ravel() for i in range(3))
+        eta = np.hypot(beta, bm) / bmp
+        lev = np.maximum(0.0, np.ceil(-np.log2(eta))).astype(int)
+        # interval j of an item is [0, eta] for j = 0, then [eta 2^(j-1), eta 2^j],
+        # the last one ending at 1
+        nint = lev + 1
+        item = np.repeat(np.arange(beta.size), nint)
+        j = np.arange(item.size) - np.repeat(np.cumsum(nint) - nint, nint)
+        et = eta[item]
+        left = np.where(j == 0, 0.0, et * np.exp2(j - 1.0))
+        right = np.where(j < lev[item], et * np.exp2(j), 1.0)
+        wn = left[:, None] + (right - left)[:, None] * x
+        node_item = np.repeat(item, _SPLIT_POINTS)
+        sig2 = (bm[item, None] ** 2 + (bmp[item, None] * wn) ** 2).ravel()
+        wts = ((right - left)[:, None] * w).ravel() / (2.0 * sig2)
+        beta2 = beta * beta
+        L = np.log1p(sig2 / beta2[node_item])
+        vol = np.prod(sides, axis=-1)
+        for e, ae in enumerate(a):
+            p = 0.5 * ae + 1.0
+            g = L if p == 0.0 else np.expm1(p * L) / p
+            per_item = np.bincount(node_item, weights=g * wts, minlength=beta.size)
+            per_box = (per_item * beta2 ** p).reshape(-1, 6).sum(axis=-1)
+            out[s0:s0 + step, e] = (per_box.reshape(signs.shape) * vol * signs).sum(axis=-1) \
+                / (3.0 + ae)
+    return out
+
+
+def _subdivided(C: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """int_Q |y|^a over cubes near the origin but not holding it, for any a:
+    halve every cube closer than its half-side until all pieces are far."""
+    out = np.zeros((C.shape[0], a.size))
+    owner = np.arange(C.shape[0])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=C.shape[1])))
+    while owner.size:
+        far = _distance_to_origin(C, r) >= r
+        vals = _far_gauss(C[far], r[far], a)
+        for e in range(a.size):
+            out[:, e] += np.bincount(owner[far], weights=vals[:, e], minlength=out.shape[0])
+        half = 0.5 * r[~far]
+        C = (C[~far, None, :] + half[:, None, None] * signs).reshape(-1, C.shape[1])
+        r = np.repeat(half, signs.shape[0])
+        owner = np.repeat(owner[~far], signs.shape[0])
+    return out
+
+
+def power_cube_integrals(centers: np.ndarray, radii: np.ndarray,
+                         exponents: np.ndarray) -> np.ndarray:
+    """int_{Q(c_k, r_k)} |y|^a over a batch of cubes, shape (K, E) for
+    centers (K, n), radii (K,) and E exponents.
+
+    * Even a >= 0: :func:`mwlab.weights.cube_moments`, exact.
+    * Cubes at distance >= r from the origin: a tensor Gauss-Legendre rule
+      whose order comes from distance / r.
+    * Every other cube (n = 3 only): :func:`_corner_split`.  For a <= -n the
+      integral over a closed cube holding the origin is +inf; a cube near the
+      origin that does not hold it is halved until its pieces are far.
+
+    Each cube's value depends only on that cube and the exponent, not on the
+    rest of the batch.  Accuracy is about 1e-13 relative, or better.
+    """
+    C = np.atleast_2d(np.asarray(centers, dtype=float))
+    k, n = C.shape
+    r = np.broadcast_to(np.asarray(radii, dtype=float), (k,))
+    a = np.atleast_1d(np.asarray(exponents, dtype=float))
+    out = np.empty((k, a.size))
+    even = _is_even(a)
+    if np.any(even):
+        half = (a[even] / 2).astype(int)
+        out[:, even] = cube_moments(C, r, int(half.max()) + 1)[:, half]
+    if np.all(even):
+        return out
+    odd = np.nonzero(~even)[0]
+    dist = _distance_to_origin(C, r)
+    far = dist >= r
+    if np.any(far):
+        out[np.ix_(far, odd)] = _far_gauss(C[far], r[far], a[odd])
+    near = ~far
+    if not np.any(near):
+        return out
+    if n != _SPLIT_DIM:
+        raise DomainError(f"the corner split integrates in dimension {_SPLIT_DIM}, not {n}")
+    holds = near & (dist == 0.0)
+    split = a[odd] > -n
+    if np.any(split):
+        out[np.ix_(near, odd[split])] = _corner_split(C[near], r[near], a[odd[split]])
+    if np.any(~split):
+        out[np.ix_(holds, odd[~split])] = np.inf
+        outside = near & ~holds
+        if np.any(outside):
+            out[np.ix_(outside, odd[~split])] = _subdivided(C[outside], r[outside],
+                                                            a[odd[~split]])
+    return out
+
+
+def engine_terms(W: MatrixWeight):
+    """W's power terms when :func:`power_cube_integrals` covers them: None
+    when W has none, or when an exponent other than an even a >= 0 meets a
+    dimension the corner split does not handle."""
+    terms = W.power_terms()
+    if terms is None or (W.n != _SPLIT_DIM and not np.all(_is_even(terms[0]))):
+        return None
+    return terms
+
+
+def terms_cube_integrals(terms, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """int_{Q(c_k, r_k)} W, shape (K, d, d), for W = sum_j coeffs[..., j]
+    |x|^exponents[j] given as ``terms``.  A zero coefficient contributes 0
+    even where its power integral is +inf."""
+    exps, coeffs = terms
+    I = power_cube_integrals(centers, radii, exps)
+    with np.errstate(invalid="ignore"):     # 0 * inf, masked out
+        return np.where(coeffs != 0.0, coeffs * I[:, None, None, :], 0.0).sum(axis=-1)
+
+
 def average(W: MatrixWeight, Q: Cube, tol: float = QUAD_TOL,
             max_level: int = MAX_LEVEL) -> np.ndarray:
     """Mean of the matrix weight over the cube (the barred integral).
@@ -183,7 +410,8 @@ def psi(W: MatrixWeight, x, r: float, *, method: str = "quadrature") -> np.ndarr
     """Scale-weighted cube average r^(2-n) * int_{Q(x,r)} W.
 
     ``method`` selects the route: "quadrature" (the contract) or "exact"
-    (closed-form cube integrals, available for the polynomial catalog).
+    (closed-form cube integrals: the polynomial catalog and the weights
+    given as sums of powers of |x|).
     """
     x = np.asarray(x, dtype=float)
     n = W.n

@@ -513,10 +513,9 @@ def _to_jsonable(obj):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        # plain Python values, sanitized like any others
+        return _to_jsonable(obj.tolist())
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
         return repr(obj)
     if hasattr(obj, "to_jsonable"):

@@ -3,15 +3,20 @@
 A matrix weight is a symmetric positive semidefinite d x d matrix field on
 R^n with an analytic descriptor.  Every weight in the catalog evaluates
 pointwise and in batch and serializes to a JSON descriptor.  Its one
-closed-form descriptor is :meth:`MatrixWeight.radial_table`: when every entry
-of W(x) is a polynomial in s = |x|^2, the (d, d, K) table of coefficients.
-The base class derives both closed forms from it, exact cube integrals and
-quadratic forms <W e, e> as polynomials in s.  Exact integrals are a fast
-path; the quadrature route in :mod:`mwlab.cubature` remains the generic
-contract and the two are tested against each other.  Every closed-form cube
-integral reads one moment routine, :func:`cube_moment_polys`: the integrals
-of |y|^(2k) over Q(x, r) as polynomials in r^2 with nonnegative coefficients,
-kept by the aux scan and evaluated at one radius by :func:`cube_moments`.
+closed-form descriptor is :meth:`MatrixWeight.power_terms`: W(x) as a sum
+sum_k coeffs[..., k] |x|^exponents[k] of powers of the radius, or none.  When
+every exponent is even and nonnegative, W is a polynomial in s = |x|^2 and
+:meth:`MatrixWeight.radial_table` holds its (d, d, K) coefficients; each
+weight states one of the two and the other is read off it.  The base class
+derives the closed forms from them: exact cube integrals, and quadratic
+forms <W e, e> as polynomials in s.  Table-backed integrals read one moment
+routine, :func:`cube_moment_polys`: the integrals of |y|^(2k) over Q(x, r)
+as polynomials in r^2 with nonnegative coefficients, kept by the aux scan
+and evaluated by :func:`cube_moments` at one radius or one per center.
+Other exponents go through :func:`mwlab.cubature.power_cube_integrals`.
+Exact integrals are a fast path; the quadrature route in
+:mod:`mwlab.cubature` remains the generic contract and the two are tested
+against each other.
 """
 
 from __future__ import annotations
@@ -188,12 +193,38 @@ def cube_moment_polys(X: np.ndarray, K: int) -> np.ndarray:
     return acc
 
 
-def cube_moments(X: np.ndarray, r: float, K: int) -> np.ndarray:
-    """int_{Q(x, r)} |y|^(2k) dy for k < K over an (M, n) batch of centers,
-    shape (M, K): the polynomials of :func:`cube_moment_polys` at t = r^2."""
+def cube_moments(X: np.ndarray, r, K: int) -> np.ndarray:
+    """int_{Q(x, r)} |y|^(2k) dy for k < K over an (M, n) batch of centers and
+    one radius, or one radius per center; shape (M, K): the polynomials of
+    :func:`cube_moment_polys` at t = r^2, by Horner's rule in the order of
+    ``np.polynomial.polynomial.polyval``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = np.moveaxis(cube_moment_polys(X, K), -1, 0)
-    return r ** X.shape[1] * np.polynomial.polynomial.polyval(r * r, P)
+    r = np.broadcast_to(np.asarray(r, dtype=float), X.shape[:1])
+    P = cube_moment_polys(X, K)
+    t = (r * r)[:, None]
+    v = P[..., -1]
+    for l in range(K - 2, -1, -1):
+        v = P[..., l] + v * t
+    # r^n by Python's float power, once per distinct radius: numpy's
+    # vectorized power may differ from it in the last bit
+    uniq, inv = np.unique(r, return_inverse=True)
+    return np.array([x ** X.shape[1] for x in uniq.tolist()])[inv, None] * v
+
+
+def _table_from_terms(terms) -> Optional[np.ndarray]:
+    """The coefficients in s = |x|^2, along the last axis, of power terms
+    (exponents (K,), coeffs (..., K)) with distinct exponents; None unless
+    every exponent is even and nonnegative."""
+    if terms is None:
+        return None
+    exps, coeffs = terms
+    half = np.asarray(exps, dtype=float) / 2.0
+    if np.any(half < 0) or np.any(half != np.round(half)):
+        return None
+    idx = half.astype(int)
+    table = np.zeros(coeffs.shape[:-1] + (int(idx.max()) + 1 if idx.size else 0,))
+    table[..., idx] = coeffs
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +243,14 @@ class ScalarWeight:
     def eval(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
 
+    def power_terms(self) -> Optional[tuple]:
+        """(exponents (K,), coeffs (K,)) with v(x) = sum_k coeffs[k] |x|^exponents[k],
+        or None."""
+        return None
+
     def radial_poly(self) -> Optional[np.ndarray]:
         """Coefficients in s = |x|^2 if the weight is a radial polynomial."""
-        return None
+        return _table_from_terms(self.power_terms())
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -235,8 +271,8 @@ class ConstantScalar(ScalarWeight):
     def eval_many(self, X):
         return np.full(np.atleast_2d(X).shape[0], float(self.c))
 
-    def radial_poly(self):
-        return np.array([self.c])
+    def power_terms(self):
+        return np.zeros(1), np.array([float(self.c)])
 
     def to_config(self):
         return {"kind": "constant_scalar", "n": self.n, "c": self.c}
@@ -267,13 +303,8 @@ class PowerScalar(ScalarWeight):
             raise DomainError("negative-exponent power weight evaluated at the origin")
         return self.a * t ** self.gamma
 
-    def radial_poly(self):
-        g = self.gamma
-        if g >= 0 and g == 2 * round(g / 2):
-            coeffs = np.zeros(int(round(g / 2)) + 1)
-            coeffs[-1] = self.a
-            return coeffs
-        return None
+    def power_terms(self):
+        return np.array([float(self.gamma)]), np.array([float(self.a)])
 
     def to_config(self):
         return {"kind": "power_scalar", "n": self.n, "gamma": self.gamma, "a": self.a}
@@ -299,8 +330,8 @@ class PolyScalar(ScalarWeight):
             out = out * s + c
         return out
 
-    def radial_poly(self):
-        return np.asarray(self.coeffs)
+    def power_terms(self):
+        return 2.0 * np.arange(len(self.coeffs)), np.asarray(self.coeffs, dtype=float)
 
     def to_config(self):
         return {"kind": "poly_scalar", "n": self.n, "coeffs": list(self.coeffs)}
@@ -332,12 +363,28 @@ class MatrixWeight:
         closed form exists: entry (i, j, k) multiplies s^k in W(x)_ij."""
         return None
 
-    def exact_cube_integral_many(self, centers: np.ndarray, r: float) -> Optional[np.ndarray]:
-        """Exact int_Q W over cubes Q(center_i, r), or None when unavailable."""
+    def power_terms(self) -> Optional[tuple]:
+        """(exponents (K,), coeffs (d, d, K)) with
+        W(x) = sum_k coeffs[..., k] |x|^exponents[k], or None.  By default the
+        radial table's, at exponents 0, 2, 4, ..."""
         table = self.radial_table()
         if table is None:
             return None
-        return np.einsum("ijk,mk->mij", table, cube_moments(centers, r, table.shape[2]))
+        return 2.0 * np.arange(table.shape[2]), table
+
+    def exact_cube_integral_many(self, centers: np.ndarray, r: float) -> Optional[np.ndarray]:
+        """Exact int_Q W over cubes Q(center_i, r), or None when unavailable:
+        from the radial table's cube moments, else from the power terms
+        through :func:`mwlab.cubature.terms_cube_integrals`."""
+        table = self.radial_table()
+        if table is not None:
+            return np.einsum("ijk,mk->mij", table, cube_moments(centers, r, table.shape[2]))
+        from .cubature import engine_terms, terms_cube_integrals
+        terms = engine_terms(self)
+        if terms is None:
+            return None
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        return terms_cube_integrals(terms, centers, np.full(centers.shape[0], float(r)))
 
     def qform_radial_poly(self, e: np.ndarray) -> Optional[np.ndarray]:
         """<W(x) e, e> as a polynomial in s = |x|^2, when the descriptor allows."""
@@ -386,6 +433,9 @@ class ConstantWeight(MatrixWeight):
         e = np.asarray(e, dtype=float)
         return np.array([float(e @ self.mat @ e)])
 
+    def power_terms(self):
+        return np.zeros(1), self.mat[:, :, None]
+
     def to_config(self):
         return {"kind": "constant", "n": self.n, "d": self.d, "mat": self.mat.tolist()}
 
@@ -422,14 +472,18 @@ class ScalarDiagWeight(MatrixWeight):
             out[:, i, i] = v.eval_many(X)
         return out
 
-    def radial_table(self):
-        polys = [v.radial_poly() for v in self.entries]
-        if any(p is None for p in polys):
+    def power_terms(self):
+        terms = [v.power_terms() for v in self.entries]
+        if any(t is None for t in terms):
             return None
-        table = np.zeros((self.d, self.d, max(len(p) for p in polys)))
-        for i, p in enumerate(polys):
-            table[i, i, : len(p)] = p
-        return table
+        exps = np.unique(np.concatenate([a for a, _ in terms]))
+        coeffs = np.zeros((self.d, self.d, exps.size))
+        for i, (a, c) in enumerate(terms):
+            np.add.at(coeffs[i, i], np.searchsorted(exps, a), c)
+        return exps, coeffs
+
+    def radial_table(self):
+        return _table_from_terms(self.power_terms())
 
     def to_config(self):
         return {"kind": "scalar_diag", "n": self.n, "d": self.d,
@@ -477,16 +531,14 @@ class PowerWeight(MatrixWeight):
             pw = t[:, None, None] ** G[None, :, :]
         return self.A[None, :, :] * pw
 
-    def radial_table(self):
-        # a_ij s^(G_ij / 2), a polynomial in s when every exponent is even
+    def power_terms(self):
+        # a_ij |x|^G_ij, one term per distinct exponent
         G = self.exponent_table
-        half = np.round(G / 2)
-        if np.any(G < 0) or not np.allclose(G, 2 * half):
-            return None
-        idx = half.astype(int)
-        table = np.zeros((self.d, self.d, int(idx.max()) + 1))
-        np.put_along_axis(table, idx[:, :, None], self.A[:, :, None], axis=2)
-        return table
+        exps = np.unique(G)
+        return exps, np.where(G[:, :, None] == exps, self.A[:, :, None], 0.0)
+
+    def radial_table(self):
+        return _table_from_terms(self.power_terms())
 
     def to_config(self):
         return {"kind": "power", "n": self.n, "d": self.d,

@@ -186,6 +186,66 @@ class TestGrowthAndDoubling:
         assert vals[0] == pytest.approx(vals[1], rel=1e-3)
 
 
+class TestPowerCubeIntegrals:
+    """The engine against scipy quadrature (conftest's power_integral_reference)
+    and the exact moments."""
+
+    GEOMETRIES = {
+        "origin-at-center": ((0.0, 0.0, 0.0), 1.0),
+        "origin-inside": ((0.3, -0.2, 0.45), 1.0),
+        "origin-inside-big": ((0.7, 0.4, -0.2), 2.5),
+        "origin-on-face": ((1.0, 0.3, -0.4), 1.0),
+        "origin-at-corner": ((1.0, -1.0, 1.0), 1.0),
+        "inside-1e-6-from-face": ((1.0 - 1e-6, 0.2, 0.1), 1.0),
+        "outside-1e-6-from-face": ((1.0 + 1e-6, 0.2, 0.1), 1.0),
+        "inside-1e-6-from-edge": ((1.0 - 1e-6, 1.0 - 1e-6, 0.3), 1.0),
+        "near-outside": ((1.5, -0.6, 0.2), 1.0),
+        "far-on-boundary": ((2.0, 0.0, 0.0), 1.0),
+        "far": ((2.2, 2.1, 0.3), 1.0),
+        "far-5r": ((5.0, 0.5, -0.3), 1.0),
+        "far-small": ((3.0, 1.0, 0.0), 0.5),
+    }
+    EXPONENTS = (1.0, 3.0, 0.5, -1.4, -2.8)
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_matches_scipy_reference(self, name, power_reference):
+        c, r = self.GEOMETRIES[name]
+        got = cb.power_cube_integrals(np.array([c]), np.array([r]), self.EXPONENTS)[0]
+        want = [power_reference(c, r, a) for a in self.EXPONENTS]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_even_exponents_are_the_moments_bit_for_bit(self, rng):
+        C = rng.uniform(-3.0, 3.0, size=(50, 3))
+        got = cb.power_cube_integrals(C, np.full(50, 0.7), [0.0, 2.0, 4.0, 6.0])
+        assert np.array_equal(got, mw.cube_moments(C, 0.7, 4))
+        radii = rng.uniform(0.1, 2.0, size=50)
+        got = cb.power_cube_integrals(C, radii, [4.0, 2.0])
+        want = np.stack([mw.cube_moments(C[i], radii[i], 3)[0, [2, 1]] for i in range(50)])
+        assert np.array_equal(got, want)
+
+    def test_divergent_exponent(self, power_reference):
+        # |y|^-3.5 is not integrable at the origin: +inf on every closed cube
+        # holding it, finite (and halved down to far pieces) next to it
+        C = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.2, 0.1], [1.5, 0.2, 0.1]])
+        got = cb.power_cube_integrals(C, np.ones(4), [-3.5, 1.0])
+        assert np.all(got[:3, 0] == np.inf) and np.all(np.isfinite(got[:, 1]))
+        assert got[3, 0] == pytest.approx(power_reference(C[3], 1.0, -3.5), rel=1e-12)
+
+    def test_value_does_not_depend_on_the_batch(self, rng):
+        C = rng.uniform(-2.0, 2.0, size=(40, 3))
+        radii = rng.uniform(0.2, 3.0, size=40)
+        batch = cb.power_cube_integrals(C, radii, [1.0, -1.4])
+        alone = np.concatenate([cb.power_cube_integrals(C[i:i + 1], radii[i:i + 1], [1.0, -1.4])
+                                for i in range(40)])
+        assert np.array_equal(batch, alone)
+
+    def test_power_weight_psi_matches_quadrature(self, power13):
+        c, r = np.array([0.9, -0.4, 0.6]), 0.7
+        exact = cb.psi(power13, c, r, method="exact")
+        quad = cb.psi(power13, c, r, method="quadrature")
+        assert np.allclose(exact, quad, rtol=1e-6)
+
+
 class TestCubeFamily:
     def test_cubes_stay_in_box(self):
         fam = cb.CubeFamily(generator="random", box=4.0, count=30,

@@ -268,3 +268,19 @@ class TestReport:
         rep.add_result("bad", float("nan"))
         doc = rep.document()
         json.dumps(doc)  # NaN sanitized to a string by _to_jsonable
+
+    @pytest.mark.parametrize("value, expect", [
+        (np.array([1.0, np.nan, -np.inf]), [1.0, "nan", "-inf"]),
+        (np.array([[np.inf, 2.0]]), [["inf", 2.0]]),
+        (np.float64("nan"), "nan"),
+        (np.float32("inf"), "inf"),
+    ])
+    def test_numpy_non_finite_values_are_sanitized(self, value, expect, tmp_path):
+        # numpy arrays and scalars get the strings plain floats get
+        rep = il.Report({"seed": 1})
+        rep.add_result("value", value)
+        jpath, _ = rep.write(tmp_path / "out")
+        with open(jpath, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["results"]["value"] == expect
+        assert il.validate_report(doc)

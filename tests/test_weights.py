@@ -183,10 +183,55 @@ class TestRadialTable:
         assert q is not None and q.shape == (1,)
         assert q[0] == pytest.approx(float(e @ A @ e), rel=1e-15)
 
-    def test_no_table_without_closed_form(self, power13):
+    def test_no_table_without_closed_form(self, power13, power_reference):
         assert power13.radial_table() is None
-        assert power13.exact_cube_integral_many(np.zeros((1, 3)), 1.0) is None
+        # odd exponents leave the table but not the exact integrals: the
+        # entries 2|y|, 0.5|y|^2 and |y|^3 over Q(0, 1) against scipy
+        got = power13.exact_cube_integral_many(np.zeros((1, 3)), 1.0)[0]
+        want = np.array([[2.0 * power_reference(np.zeros(3), 1.0, 1.0), 0.5 * 8.0],
+                         [0.5 * 8.0, power_reference(np.zeros(3), 1.0, 3.0)]])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert power13.qform_radial_poly(np.array([1.0, 0.0])) is None
+
+
+def _builtin_weights():
+    from mwlab import cli
+    out = {name: mw.from_config(cfg) for name, cfg in cli.BUILTIN_WEIGHTS.items()}
+    out["power-scalar-diag"] = mw.ScalarDiagWeight(entries=(mw.PowerScalar(1.2),
+                                                            mw.PowerScalar(-1.2)))
+    return out
+
+
+class TestPowerTerms:
+    @pytest.mark.parametrize("name", sorted(_builtin_weights()))
+    def test_terms_reproduce_eval_many(self, name):
+        W = _builtin_weights()[name]
+        exps, coeffs = W.power_terms()
+        assert exps.ndim == 1 and coeffs.shape == (W.d, W.d, exps.size)
+        X = np.random.default_rng(4).uniform(-3.0, 3.0, size=(200, 3))
+        rho = np.linalg.norm(X, axis=1)
+        got = np.einsum("ijk,mk->mij", coeffs, rho[:, None] ** exps)
+        want = W.eval_many(X)
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_BACKED) + ["diag-poly", "rank-one-radial"])
+    def test_table_backed_weights_report_even_exponents(self, name, request):
+        W = (TABLE_BACKED[name](request.getfixturevalue) if name in TABLE_BACKED
+             else _builtin_weights()[name])
+        terms = W.power_terms()
+        table = W.radial_table()
+        assert table is not None
+        # even exponents only, and the same table: the moment route is unchanged
+        assert np.all(terms[0] >= 0) and np.all(terms[0] % 2 == 0)
+        assert np.array_equal(mw._table_from_terms(terms), table)
+
+    def test_odd_power_weight_terms(self, power13):
+        exps, coeffs = power13.power_terms()
+        assert exps.tolist() == [1.0, 2.0, 3.0]
+        assert coeffs[0, 0].tolist() == [2.0, 0.0, 0.0]
+        assert coeffs[0, 1].tolist() == [0.0, 0.5, 0.0]
+        assert coeffs[1, 1].tolist() == [0.0, 0.0, 1.0]
 
 
 class TestSerialization:
