@@ -2,7 +2,7 @@
 """Run the reference invocations of the lab and check that their outputs
 stay byte for byte the same.
 
-The reference set is the 16 CLI bundles below and two ``cross_checks``
+The reference set is the 17 CLI bundles below and two ``cross_checks``
 dumps (power-13 and rank-one on the fixed families of the ``certify-quad``
 benchmark workload).  Every run is its own subprocess with BLAS at one
 thread, started inside the output root with a relative ``--out``.
@@ -12,15 +12,19 @@ thread, started inside the output root with a relative ``--out``.
 
 With ``--against``, REV is exported with ``git archive`` into a temporary
 directory and both trees run the same set.  Each differing file is named on
-one line: with its first differing row for a CSV, with the differing key
-paths for a JSON file (``config.out`` aside), and as bytes otherwise.  The
-exit status is 0 only when nothing differs.
+one line: for a CSV with its number of differing rows, its first differing
+row and the largest relative change |b - a| / |a| of the value column (the
+last one); with the differing key paths for a JSON file (``config.out``
+aside); and as bytes otherwise.  The exit status is 0 only when nothing
+differs.
 """
 
 import argparse
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +49,7 @@ INVOCATIONS = (
     ("agmon_diag_poly", ["agmon", "--weight", "diag-poly", "--grid", "1.0,6",
                          "--source", "3,3,3", "--norm", "l2"]),
     ("green_diag_poly", ["green", "--weight", "diag-poly", "--grid", "13,2.0"]),
+    ("decay_diag_poly", ["decay", "--weight", "diag-poly", "--grid", "13,2.0"]),
     ("landscape_diag_poly", ["landscape", "--weight", "diag-poly", "--grid", "13,2.0",
                              "--probes", "2"]),
     ("fp_identity", ["fp", "--weight", "identity", "--grid", "1.0,6", "--form", "norm",
@@ -138,13 +143,38 @@ def _describe(rel: str, a: Path, b: Path):
     if da == db:
         return None
     if rel.endswith(".csv"):
-        ra, rb = da.decode().splitlines(), db.decode().splitlines()
-        for i in range(max(len(ra), len(rb))):
-            x = ra[i] if i < len(ra) else "<none>"
-            y = rb[i] if i < len(rb) else "<none>"
-            if x != y:
-                return f"{rel}: row {i + 1}: {x!r} != {y!r}"
+        return f"{rel}: {_csv_drift(da.decode(), db.decode())}"
     return f"{rel}: bytes differ"
+
+
+def _relative_change(a: str, b: str) -> float:
+    """|b - a| / |a| of two value cells; nan when either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.nan
+    if x == y:
+        return 0.0
+    return abs(y - x) / abs(x) if x != 0.0 else math.inf
+
+
+def _csv_drift(ta: str, tb: str) -> str:
+    """How two CSV texts differ: the differing rows, the first of them, and
+    the largest relative change of the value column over those rows."""
+    la, lb = ta.splitlines(), tb.splitlines()
+    n = max(len(la), len(lb))
+    ra = la + ["<none>"] * (n - len(la))
+    rb = lb + ["<none>"] * (n - len(lb))
+    diff = [i for i in range(n) if ra[i] != rb[i]]
+    first = diff[0]
+    line = f"{len(diff)} of {n} rows differ, first row {first + 1}: {ra[first]!r} != {rb[first]!r}"
+    changes = [(_relative_change(next(csv.reader([ra[i]]))[-1],
+                                 next(csv.reader([rb[i]]))[-1]), i) for i in diff]
+    numeric = [(c, i) for c, i in changes if not math.isnan(c)]
+    if numeric:
+        c, i = max(numeric, key=lambda t: t[0])
+        line += f"; largest value change {c:.3g} relative (row {i + 1})"
+    return line
 
 
 def compare(dir_a: Path, dir_b: Path) -> list:

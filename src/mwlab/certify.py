@@ -164,8 +164,16 @@ def _avg(W: MatrixWeight, cube: Cube, tol: float) -> np.ndarray:
 
 def _diverges(avg: np.ndarray) -> bool:
     """An infinite cube mean: W is not integrable on the cube, so no constant
-    of a max-type class holds there and the cube scores +inf."""
+    of a max-type class holds there and the cube scores +inf, and no positive
+    bound of a min-type class does and the cube scores 0."""
     return not np.all(np.isfinite(avg))
+
+
+def _not_integrable(cubes: Sequence[Cube], finite: Sequence[bool]) -> dict:
+    """The ``not_integrable`` detail, naming the cubes with an infinite mean;
+    empty when there are none."""
+    bad = [{"center": c.center.tolist(), "r": c.r} for c, ok in zip(cubes, finite) if not ok]
+    return {"not_integrable": bad} if bad else {}
 
 
 DIVERGENCE_GROWTH = 1.05   # level-to-level growth flagging a divergent integral
@@ -302,6 +310,8 @@ def _bp_det_cube(W: MatrixWeight, p: float, cube: Cube, tol: float, seed: int) -
 
 def _nd_cube(W: MatrixWeight, cube: Cube, tol: float):
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return 0.0, None
     integ = avg * cube.volume
     lam = np.linalg.eigvalsh(integ)
     floor = 1e-12 * cube.volume * float(np.trace(avg)) / W.d
@@ -368,7 +378,12 @@ def _rbm_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
 
 def _ainf_cube(W: MatrixWeight, cube: Cube, eps_list: Sequence[float],
                sample_count: int, seed: int, strict: bool, tol: float):
+    """(delta per eps, singular fraction of the samples).  Where the mean is
+    infinite, V >= delta * avg holds for delta = 0 only, and no samples are
+    drawn: the fraction is None."""
     avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return {float(e): 0.0 for e in eps_list}, None
     try:
         root_inv = inv_psd(sqrt_psd(avg))
     except Exception as exc:
@@ -393,12 +408,23 @@ def _ainf_cube(W: MatrixWeight, cube: Cube, eps_list: Sequence[float],
 
 
 def _critical_cube(W: MatrixWeight, x: np.ndarray) -> Cube:
-    m_low = auxmetric.aux_value(W, x, kind="lower")
-    return Cube(center=np.asarray(x, dtype=float), r=1.0 / m_low)
+    """Q(x, 1/m_lower(x)).  Where the closed-form mean of W is infinite on the
+    smallest cube about x that the aux scan tries, the criterion is infinite
+    on every rung and x has no critical scale: that cube is returned instead.
+    (Quadrature never returns an infinite mean, so only closed forms are read.)"""
+    r0 = auxmetric.R_BRACKET[0]
+    exact = W.exact_cube_integral_many(x[None, :], r0)
+    if exact is not None and _diverges(exact):
+        return Cube(center=x, r=r0)
+    return Cube(center=x, r=1.0 / auxmetric.aux_value(W, x, kind="lower"))
 
 
-def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> float:
-    integ = _avg(W, cube, tol) * cube.volume
+def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> Optional[float]:
+    """The smallest eigenvalue of the sandwich; None where the mean is infinite."""
+    avg = _avg(W, cube, tol)
+    if _diverges(avg):
+        return None
+    integ = avg * cube.volume
     B = inv_psd(integ)
 
     def fn(X):
@@ -489,9 +515,12 @@ def bp_det_check(W: MatrixWeight, p: float, family: CubeFamily, *,
 
 
 def nd_check(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL) -> CertReport:
-    """Nondegeneracy: cube integrals must be positive definite (scale-aware floor)."""
+    """Nondegeneracy: cube integrals must be finite and positive definite
+    (scale-aware floor); a cube where W is not integrable scores 0."""
     def summary(lams, floors, worst):
-        return all(lam > floor for lam, floor in zip(lams, floors)), {"per_cube": lams}, {}
+        finite = [floor is not None for floor in floors]
+        passed = all(ok and lam > floor for ok, lam, floor in zip(finite, lams, floors))
+        return passed, {"per_cube": lams, **_not_integrable(family.cubes(), finite)}, {}
 
     return _certify("nd", family, lambda c: _nd_cube(W, c, tol), False, min_type=True,
                     summary=summary)
@@ -510,9 +539,12 @@ def ainf_profile(W: MatrixWeight, eps_list: Sequence[float], family: CubeFamily,
 
     def summary(scores, profiles, worst):
         delta_min = {str(e): min(deltas[e] for deltas, _ in profiles) for e in eps_list}
+        fracs = [f for _, f in profiles if f is not None]
         return (bool(scores[worst] > 0.0),
-                {"delta": delta_min, "singular_fraction": max(f for _, f in profiles),
-                 "sample_count": sample_count, "seed": seed}, {})
+                {"delta": delta_min, "singular_fraction": max(fracs, default=0.0),
+                 "sample_count": sample_count, "seed": seed,
+                 **_not_integrable(family.cubes(), [f is not None for _, f in profiles])},
+                {})
 
     return _certify("ainf", family, per_cube, stability, min_type=True, summary=summary)
 
@@ -544,7 +576,8 @@ def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
     int_Q V^(1/2) (int_Q V)^(-1) V^(1/2).
 
     Default mode evaluates at critical-scale cubes Q(x, 1/m_lower(x)); the
-    all-cubes mode sweeps a family instead.
+    all-cubes mode sweeps a family instead.  A cube where W is not
+    integrable scores 0, and so does a center without a critical scale.
     """
     if mode == "critical-scale":
         if centers is None:
@@ -559,7 +592,8 @@ def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
         fam_desc = {"mode": "all-cubes", **family.to_config()}
     else:
         raise ConfigError(f"unknown nc mode {mode!r}")
-    vals = [_nc_cube(W, c, tol) for c in cubes]
+    raw = [_nc_cube(W, c, tol) for c in cubes]
+    vals = [0.0 if v is None else v for v in raw]
     arr = np.asarray(vals)
     idx = int(np.argmin(arr))
     worst = cubes[idx]
@@ -567,7 +601,8 @@ def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
         class_name="nc", constant_estimate=float(arr[idx]), family=fam_desc,
         witness={"center": worst.center.tolist(), "r": worst.r, "value": float(arr[idx])},
         passed=bool(arr[idx] >= floor), mode=mode,
-        details={"per_cube": vals, "floor": floor})
+        details={"per_cube": vals, "floor": floor,
+                 **_not_integrable(cubes, [v is not None for v in raw])})
 
 
 def replay_witness(W: MatrixWeight, report: CertReport, *, tol: float = CERT_TOL,
@@ -591,7 +626,8 @@ def replay_witness(W: MatrixWeight, report: CertReport, *, tol: float = CERT_TOL
     if name == "rbm":
         return _rbm_cube(W, cube, tol)
     if name == "nc":
-        return _nc_cube(W, cube, tol)
+        val = _nc_cube(W, cube, tol)
+        return 0.0 if val is None else val
     raise ConfigError(f"no replay route for class {name!r}")
 
 

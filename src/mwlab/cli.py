@@ -253,7 +253,7 @@ def stage_green(cfg: ExperimentConfig, out: Bundle) -> None:
     grid = _grid3(cfg)
     pole = tuple(int(v) for v in cfg.params.get("pole") or [grid.N // 2] * 3)
     op = pde.assemble(weights.from_config(cfg.weight), None, grid)
-    gf = pde.green_field(op, pole, solver=pde.solver_for(op))
+    gf = pde.green_field(op, pole)
     out.add_result("pole", list(pole))
     out.add_result("residual", gf.residual)
     out.save("green.field", pde.save_green_binary, gf)
@@ -274,8 +274,8 @@ def stage_decay(cfg: ExperimentConfig, out: Bundle) -> None:
     pole = tuple(int(v) for v in cfg.params.get("pole") or [grid.N // 2] * 3)
     op_v = pde.assemble(W, None, grid)
     op_0 = pde.assemble(None, None, grid, d=W.d)
-    gv = pde.green_field(op_v, pole, solver=pde.solver_for(op_v))
-    g0 = pde.green_field(op_0, pole, solver=pde.solver_for(op_0))
+    gv = pde.green_field(op_v, pole)
+    g0 = pde.green_field(op_0, pole)
     fld = auxmetric.aux_field(W, grid.to_boxgrid(), kind="lower")
     dist = auxmetric.agmon_field(fld, gv.pole)
     fit = ineqlab.envelope_fit(gv, dist, projector="norm", mode="upper")
@@ -360,9 +360,8 @@ def stage_landscape(cfg: ExperimentConfig, out: Bundle) -> None:
         count = int(cfg.params.get("n_probes", 3))
         probes = [(mid + a, mid + b, mid + c) for a, b, c in offsets[:count]]
     op = pde.assemble(weights.from_config(cfg.weight), None, grid)
-    solver = pde.solver_for(op)
     for pr in probes:
-        res = pde.landscape(op, tuple(int(v) for v in pr), solver=solver)
+        res = pde.landscape(op, tuple(int(v) for v in pr))
         out.add_result(f"probe_{tuple(pr)}", res)
         for quantity in ("u", "c_lower", "c_upper"):
             out.add_row("landscape", cfg.weight_name, quantity, res["x"], res[quantity])
@@ -411,7 +410,7 @@ class _Catalog:
 
     def green(self, out: Bundle) -> None:
         op = pde.assemble(self.W["identity"], None, self.grid3)
-        gf = pde.green_field(op, (self.grid3.N // 2,) * 3, solver=pde.solver_for(op))
+        gf = pde.green_field(op, (self.grid3.N // 2,) * 3)
         out.save("green_identity.field", pde.save_green_binary, gf)
         out.add_row("green", "identity", "residual", "-", gf.residual)
 
@@ -443,7 +442,7 @@ class _Catalog:
 
     def landscape(self, out: Bundle) -> None:
         op = pde.assemble(self.W["diag_poly"], None, self.grid3)
-        res = pde.landscape(op, (self.grid3.N // 2,) * 3, solver=pde.solver_for(op))
+        res = pde.landscape(op, (self.grid3.N // 2,) * 3)
         out.add_row("landscape", "diag_poly", "u", res["x"], res["u"])
 
 

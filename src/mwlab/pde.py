@@ -7,12 +7,14 @@ potential sampled at the nodes.  A fundamental matrix ("Green field") at a
 pole comes from its d point sources, and the module carries the resolvent
 representation identity and landscape functions.
 
-Green fields are solved on the structure the operator has.  The free
-operator (a == 1, V == 0) is the Dirichlet Laplacian times I_d, which the
-type-I sine transform diagonalizes: :class:`SineSolver` solves it exactly
-at any N.  Jacobi-CG runs one system per group of components that the
-potential couples, so a diagonal potential gives d scalar systems.  Sparse
-LU (:class:`DirectSolver`) is the machine-precision oracle for small grids.
+Green fields follow one solver policy, set by the operator's structure.
+The free operator (a == 1, V == 0) is the Dirichlet Laplacian times I_d,
+which the type-I sine transform diagonalizes: :class:`SineSolver` solves it
+exactly at any N.  Every other operator takes Jacobi-CG, one system per
+group of components that the potential couples, so a diagonal potential
+gives d scalar systems.  Sparse LU (:class:`DirectSolver`) is the
+machine-precision oracle, and the solver a caller passes explicitly when
+one factorization serves many poles (:func:`resolvent_identity_check`).
 """
 
 from __future__ import annotations
@@ -343,17 +345,6 @@ class SineSolver:
         return np.moveaxis(g, 0, 3).reshape(b.shape)
 
 
-def _exact_solver(op: DiscreteOperator) -> DirectSolver | SineSolver:
-    return SineSolver(op) if op.free_laplacian else DirectSolver(op)
-
-
-def solver_for(op: DiscreteOperator) -> Optional[DirectSolver | SineSolver]:
-    """The solver policy: the sine solve for the free operator at every N,
-    sparse LU for other operators with N <= 20, else None, which makes
-    :func:`green_field` and :func:`landscape` run Jacobi-CG."""
-    return _exact_solver(op) if op.free_laplacian or op.grid.N <= 20 else None
-
-
 @dataclass
 class GreenField:
     """d x d blocks of the fundamental matrix at a fixed pole."""
@@ -365,16 +356,18 @@ class GreenField:
     residual: float
 
 
-def green_field(op: DiscreteOperator, pole, tol: float = SOLVE_TOL,
+def green_field(op: DiscreteOperator, pole,
                 solver: Optional[DirectSolver | SineSolver] = None,
                 boundary_data: Optional[Callable] = None) -> GreenField:
     """Fundamental matrix column block at one pole: solve op g = e_k delta/h^3.
 
-    The d right-hand sides go to ``solver`` (a :class:`DirectSolver` or
-    :class:`SineSolver`) as one (dof, d) block.  Without a solver the free
-    operator takes the sine solve and any other operator Jacobi-CG, one
-    column at a time.  ``residual`` is the largest relative residual over
-    the columns.
+    The module's solver policy applies: the free operator takes the sine
+    solve and any other operator Jacobi-CG to ``SOLVE_TOL``, one column at
+    a time.  A caller that reuses one factorization across poles, or wants
+    the machine-precision oracle, passes ``solver`` (a :class:`DirectSolver`
+    or :class:`SineSolver`), which gets the d right-hand sides as one
+    (dof, d) block.  ``residual`` is the largest relative residual over the
+    columns.
 
     ``boundary_data``, when given, imposes inhomogeneous Dirichlet values
     g(x_wall) -> (d, d) on the box walls (used to validate the free-space
@@ -402,7 +395,7 @@ def green_field(op: DiscreteOperator, pole, tol: float = SOLVE_TOL,
     if solver is not None:
         g = solver.solve(rhs)
     else:
-        g = np.stack([solve(op, rhs[:, k], tol=tol) for k in range(d)], axis=1)
+        g = np.stack([solve(op, rhs[:, k]) for k in range(d)], axis=1)
     resid = op.matrix @ g - rhs
     res = max(float(np.linalg.norm(resid[:, k]) / max(np.linalg.norm(rhs[:, k]), 1e-300))
               for k in range(d))
@@ -445,7 +438,8 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
         "lam": assemble(Lambda, a_field, grid, lam=lam, Lam=Lam),
         "pot": assemble(W, a_field, grid, lam=lam, Lam=Lam),
     }
-    solvers = {k: _exact_solver(v) for k, v in ops.items()}
+    solvers = {k: SineSolver(v) if v.free_laplacian else DirectSolver(v)
+               for k, v in ops.items()}
     if isinstance(pole, (tuple, list)):
         pole = grid.index(pole)
     h3 = grid.h ** 3
@@ -479,8 +473,7 @@ def resolvent_identity_check(W: MatrixWeight, grid: Grid3, pole,
 # landscape function
 # ---------------------------------------------------------------------------
 
-def landscape(op: DiscreteOperator, x0, tol: float = SOLVE_TOL,
-              solver: Optional[DirectSolver | SineSolver] = None) -> dict:
+def landscape(op: DiscreteOperator, x0) -> dict:
     """u(x0) = h^3 sum_y |Gamma(x0, y)| with the auxiliary comparands.
 
     Returns u together with 1/m_lower(x0)^2 and 1/m_upper(x0)^2 computed on
@@ -491,7 +484,7 @@ def landscape(op: DiscreteOperator, x0, tol: float = SOLVE_TOL,
         raise ConfigError("landscape needs an operator with a potential")
     grid = op.grid
     xi = grid.index(x0) if isinstance(x0, (tuple, list)) else int(x0)
-    gf = green_field(op, xi, tol=tol, solver=solver)
+    gf = green_field(op, xi)
     norms = np.linalg.norm(gf.blocks, ord=2, axis=(1, 2))
     u = float(grid.h ** 3 * norms.sum())
     x = grid.node(xi)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -230,6 +231,47 @@ class TestNc:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.5 * vals[0]
         assert not rep.passed
+
+
+class TestNotIntegrable:
+    """|x|^-3.5 in one component is not integrable at the origin in 3-D, so
+    every cube holding the origin has an infinite mean."""
+
+    W = mw.PowerWeight(np.array([[2.0, 0.5], [0.5, 1.0]]), (-3.5, 1.0))
+    FAM = cb.CubeFamily(generator="dyadic", box=4.0, count=9, r_min=1.0, r_max=2.0)
+
+    def origin_cubes(self):
+        return [{"center": c.center.tolist(), "r": c.r} for c in self.FAM.cubes()
+                if np.abs(c.center).max() <= c.r]
+
+    def assert_fails_without_nan(self, rep):
+        doc = rep.to_jsonable()
+        assert not rep.passed and rep.constant_estimate == 0.0
+        assert "nan" not in json.dumps(doc).lower()
+
+    def test_nd_names_the_origin_cubes(self):
+        rep = cf.nd_check(self.W, self.FAM)
+        self.assert_fails_without_nan(rep)
+        assert len(self.origin_cubes()) == 4
+        assert rep.details["not_integrable"] == self.origin_cubes()
+
+    def test_ainf_names_the_origin_cubes(self):
+        rep = cf.ainf_profile(self.W, [0.1, 0.5], self.FAM)
+        self.assert_fails_without_nan(rep)
+        assert rep.details["delta"] == {"0.1": 0.0, "0.5": 0.0}
+        assert rep.details["not_integrable"] == self.origin_cubes()
+
+    def test_nc_names_the_origin_center(self):
+        rep = cf.nc_constant(self.W, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        self.assert_fails_without_nan(rep)
+        assert [c["center"] for c in rep.details["not_integrable"]] == [[0.0, 0.0, 0.0]]
+        assert rep.details["per_cube"][1] > cf.NC_FLOOR
+        assert cf.replay_witness(self.W, rep) == 0.0
+
+    def test_nc_all_cubes_names_the_origin_cubes(self):
+        rep = cf.nc_constant(self.W, mode="all-cubes", family=self.FAM)
+        self.assert_fails_without_nan(rep)
+        assert rep.details["not_integrable"] == self.origin_cubes()
 
 
 class TestReducingMatrix:

@@ -153,6 +153,21 @@ class TestBundles:
         assert ratios[0] == pytest.approx(1.0 / 6.0, rel=1e-5)
 
 
+class TestSolverPolicy:
+    def test_green_stages_never_factor(self, tmp_path, monkeypatch):
+        # the CLI follows green_field's policy: CG for a non-free operator
+        def refuse(self, op):
+            raise AssertionError("a CLI stage factored its operator")
+
+        monkeypatch.setattr(pde.DirectSolver, "__init__", refuse)
+        for sub in ("green", "decay", "landscape"):
+            rc = run_cli([sub, "--weight", "diag-poly", "--grid", "13,2.0",
+                          "--out", str(tmp_path / sub)])
+            assert rc == 0, sub
+        doc = json.loads((tmp_path / "green" / "report.json").read_text())
+        assert doc["results"]["residual"] <= pde.SOLVE_TOL
+
+
 class TestNonFiniteRows:
     def test_infinite_rows_write_a_complete_bundle(self, tmp_path):
         # rank one has det W = 0, so every rbm ratio is infinite

@@ -127,15 +127,11 @@ class TestSolve:
         x = pde.solve(op, rhs, tol=1e-10)
         assert np.linalg.norm(op.matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
-    def test_solver_policy_switches_to_cg_above_N20(self):
-        v = mw.ScalarDiagWeight(entries=(mw.PolyScalar((0.0, 1.0)),))  # |x|^2
-        lu = pde.solver_for(pde.assemble(v, None, pde.Grid3(L=1.0, N=20)))
-        assert isinstance(lu, pde.DirectSolver)
-        assert pde.solver_for(pde.assemble(v, None, pde.Grid3(L=1.0, N=21))) is None
-        # the free operator takes the sine solve on both sides of N = 20
-        for N in (20, 21):
-            free = pde.assemble(None, None, pde.Grid3(L=1.0, N=N), d=1)
-            assert isinstance(pde.solver_for(free), pde.SineSolver)
+    @pytest.mark.parametrize("N", [20, 21])
+    def test_free_operator_green_field_is_exact_at_any_N(self, N):
+        # residual 1e-13 is far below SOLVE_TOL, so only the sine solve meets it
+        op = pde.assemble(None, None, pde.Grid3(L=1.0, N=N), d=1)
+        assert pde.green_field(op, (N // 2,) * 3).residual <= 1e-13
 
 
 class OneNodeCoupling(mw.MatrixWeight):
@@ -413,7 +409,7 @@ class TestLandscape:
     def test_constant_weight_bounds_coincide(self, grid13):
         W = mw.ConstantWeight(2.0 * np.eye(2), n=3)
         op = pde.assemble(W, None, grid13)
-        res = pde.landscape(op, (6, 6, 6), solver=pde.DirectSolver(op))
+        res = pde.landscape(op, (6, 6, 6))
         assert res["m_lower"] == pytest.approx(res["m_upper"], rel=1e-8)
         assert res["u"] > 0
         # sandwich with order-one constants in the constant case
