@@ -14,7 +14,7 @@ With ``--against``, REV is exported with ``git archive`` into a temporary
 directory and both trees run the same set.  Each differing file is named on
 one line: for a CSV with its number of differing rows, its first differing
 row and the largest relative change |b - a| / |a| of the value column (the
-last one); with the differing key paths for a JSON file (``config.out``
+last one), or as bytes when only its line endings differ; with the differing key paths for a JSON file (``config.out``
 aside); and as bytes otherwise.  The exit status is 0 only when nothing
 differs.
 """
@@ -166,6 +166,8 @@ def _csv_drift(ta: str, tb: str) -> str:
     ra = la + ["<none>"] * (n - len(la))
     rb = lb + ["<none>"] * (n - len(lb))
     diff = [i for i in range(n) if ra[i] != rb[i]]
+    if not diff:  # only line endings or a trailing newline differ
+        return "bytes differ"
     first = diff[0]
     line = f"{len(diff)} of {n} rows differ, first row {first + 1}: {ra[first]!r} != {rb[first]!r}"
     changes = [(_relative_change(next(csv.reader([ra[i]]))[-1],

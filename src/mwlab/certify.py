@@ -409,8 +409,9 @@ def _ainf_cube(W: MatrixWeight, cube: Cube, eps_list: Sequence[float],
 
 def _critical_cube(W: MatrixWeight, x: np.ndarray) -> Cube:
     """Q(x, 1/m_lower(x)).  Where the closed-form mean of W is infinite on the
-    smallest cube about x that the aux scan tries, the criterion is infinite
-    on every rung and x has no critical scale: that cube is returned instead.
+    smallest cube about x that the aux scan tries, every larger cube about x
+    contains it and has an infinite mean too, so no cube about x has a finite
+    mean and x has no critical scale: that smallest cube is returned instead.
     (Quadrature never returns an infinite mean, so only closed forms are read.)"""
     r0 = auxmetric.R_BRACKET[0]
     exact = W.exact_cube_integral_many(x[None, :], r0)

@@ -50,6 +50,7 @@ def test_refcheck_compare_names_each_difference(tmp_path):
         (bundle / "report.csv").write_text(f"k,v\n0,1\n{row}\n")
         (bundle / "same.csv").write_text("k,v\n0,1\n")
         (bundle / "drift.csv").write_text(drift[side])
+        (bundle / "eol.csv").write_bytes(b"k,v\r\n0,1" if side == "a" else b"k,v\n0,1\n")
         doc = json.loads(json.dumps(report))
         doc["config"]["out"] = out
         doc["results"]["max"] = value
@@ -57,6 +58,7 @@ def test_refcheck_compare_names_each_difference(tmp_path):
     lines = refcheck.compare(tmp_path / "a", tmp_path / "b")
     assert lines == ["x/drift.csv: 4 of 6 rows differ, first row 2: '\"0,1\",4' != "
                      "'\"0,1\",5'; largest value change 2 relative (row 3)",
+                     "x/eol.csv: bytes differ",
                      "x/report.csv: 1 of 3 rows differ, first row 3: '1,2.5' != '1,2.75'; "
                      "largest value change 0.1 relative (row 3)",
                      "x/report.json: differs at results.max"]
