@@ -14,8 +14,12 @@ With ``--against``, REV is exported with ``git archive`` into a temporary
 directory and both trees run the same set.  Each differing file is named on
 one line: for a CSV with its number of differing rows, its first differing
 row and the largest relative change |b - a| / |a| of the value column (the
-last one), or as bytes when only its line endings differ; with the differing key paths for a JSON file (``config.out``
-aside); and as bytes otherwise.  The exit status is 0 only when nothing
+last one), or as bytes when only its line endings differ; for a JSON file
+with the differing key paths (``config.out`` aside) and the largest relative
+change over its numeric leaves, with that leaf's path; for a ``.field``
+binary with max |b - a| / max |a| over its values (read with
+``pde.load_green_binary`` for ``green*.field``, ``auxmetric.load_field_binary``
+otherwise); and as bytes otherwise.  The exit status is 0 only when nothing
 differs.
 """
 
@@ -31,6 +35,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,18 +119,22 @@ def _files(root: Path) -> set:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def _json_paths(a, b, path: str = "") -> list:
-    """Key paths at which two parsed JSON documents differ."""
+def _json_diffs(a, b, path: str = "") -> list:
+    """(key path, relative change) at each leaf where two parsed JSON
+    documents differ; the change is nan unless both leaves are numbers."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = []
         for k in sorted(set(a) | set(b)):
             sub = f"{path}.{k}" if path else str(k)
-            out += _json_paths(a[k], b[k], sub) if k in a and k in b else [sub]
+            out += _json_diffs(a[k], b[k], sub) if k in a and k in b else [(sub, math.nan)]
         return out
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [p for i, (x, y) in enumerate(zip(a, b))
-                for p in _json_paths(x, y, f"{path}[{i}]")]
-    return [] if json.dumps(a) == json.dumps(b) else [path or "$"]
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _json_diffs(x, y, f"{path}[{i}]")]
+    if json.dumps(a) == json.dumps(b):
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return [(path or "$", _relative_change(a, b) if numbers else math.nan)]
 
 
 def _drop_out(doc):
@@ -133,22 +143,58 @@ def _drop_out(doc):
     return doc
 
 
+def _largest(changes) -> str:
+    """'; largest value change ...' over (relative change, where) pairs whose
+    change is a number, or '' when none is."""
+    numeric = [(c, where) for c, where in changes if not math.isnan(c)]
+    if not numeric:
+        return ""
+    c, where = max(numeric, key=lambda t: t[0])
+    return f"; largest value change {c:.3g} relative ({where})"
+
+
+def _field_values(path: Path) -> np.ndarray:
+    """The values of a lab ``.field`` binary, read with this tree's readers."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    if path.name.startswith("green"):
+        from mwlab.pde import load_green_binary
+        return load_green_binary(path).blocks
+    from mwlab.auxmetric import load_field_binary
+    return load_field_binary(path).values
+
+
+def _field_drift(a: Path, b: Path) -> str:
+    va, vb = _field_values(a), _field_values(b)
+    if va.shape != vb.shape:
+        return f"bytes differ, shapes {va.shape} != {vb.shape}"
+    ref = float(np.max(np.abs(va)))
+    drift = float(np.max(np.abs(vb - va)))
+    return f"bytes differ, max|b - a| / max|a| = {drift / ref if ref else math.inf:.3g}"
+
+
 def _describe(rel: str, a: Path, b: Path):
     """One line on how two versions of a file differ, or None when they agree."""
     if rel.endswith(".json"):
-        paths = _json_paths(*(_drop_out(json.loads(p.read_text(encoding="utf-8")))
+        diffs = _json_diffs(*(_drop_out(json.loads(p.read_text(encoding="utf-8")))
                               for p in (a, b)))
-        return f"{rel}: differs at {', '.join(paths)}" if paths else None
+        if not diffs:
+            return None
+        return (f"{rel}: differs at {', '.join(path for path, _ in diffs)}"
+                + _largest((c, path) for path, c in diffs))
     da, db = a.read_bytes(), b.read_bytes()
     if da == db:
         return None
     if rel.endswith(".csv"):
         return f"{rel}: {_csv_drift(da.decode(), db.decode())}"
+    if rel.endswith(".field"):
+        return f"{rel}: {_field_drift(a, b)}"
     return f"{rel}: bytes differ"
 
 
-def _relative_change(a: str, b: str) -> float:
-    """|b - a| / |a| of two value cells; nan when either is not a number."""
+def _relative_change(a, b) -> float:
+    """|b - a| / |a| of two numbers or value cells; nan when either is not a
+    number."""
     try:
         x, y = float(a), float(b)
     except ValueError:
@@ -170,13 +216,9 @@ def _csv_drift(ta: str, tb: str) -> str:
         return "bytes differ"
     first = diff[0]
     line = f"{len(diff)} of {n} rows differ, first row {first + 1}: {ra[first]!r} != {rb[first]!r}"
-    changes = [(_relative_change(next(csv.reader([ra[i]]))[-1],
-                                 next(csv.reader([rb[i]]))[-1]), i) for i in diff]
-    numeric = [(c, i) for c, i in changes if not math.isnan(c)]
-    if numeric:
-        c, i = max(numeric, key=lambda t: t[0])
-        line += f"; largest value change {c:.3g} relative (row {i + 1})"
-    return line
+    return line + _largest((_relative_change(next(csv.reader([ra[i]]))[-1],
+                                             next(csv.reader([rb[i]]))[-1]), f"row {i + 1}")
+                           for i in diff)
 
 
 def compare(dir_a: Path, dir_b: Path) -> list:

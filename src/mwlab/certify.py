@@ -39,7 +39,8 @@ import numpy as np
 from . import auxmetric
 from .cubature import (Cube, CubeFamily, adaptive_integrate,
                        khachiyan_mvee_centered)
-from .errors import ConfigError, Degenerate, DomainError, SingularSample
+from .errors import (ConfigError, Degenerate, DomainError, NoConvergence,
+                     SingularSample)
 from .ineqlab import _to_jsonable
 from .weights import (MatrixWeight, cube_moments, det_radial_poly,
                       dominant_entry_poly, extreme_eigvalsh, inv_psd, sqrt_psd,
@@ -270,7 +271,11 @@ def _shared_reducing_matrices():
 def reducing_matrix_qform(W: MatrixWeight, cube: Cube, p: float, tol: float = CERT_TOL,
                           seed: int = 7) -> np.ndarray:
     """Reducing matrix of V^p at exponent 2p: wraps the norm
-    e -> (avg <V e, e>^p)^(1/(2p)) in its John ellipsoid."""
+    e -> (avg <V e, e>^p)^(1/(2p)) in its John ellipsoid.
+
+    The norm is sampled by quadrature to ``tol``, and the ellipsoid is solved
+    to the same ``tol``: det R is within (1 + tol)^(d/2) of the John
+    ellipsoid's, and |R e| <= sqrt(d) N(e) at every sampled direction."""
     memo = _REDUCING_MEMO.get()
     if memo is None:
         return _reducing_matrix_qform(W, cube, p, tol, seed)
@@ -292,8 +297,9 @@ def _reducing_matrix_qform(W: MatrixWeight, cube: Cube, p: float, tol: float,
         raise Degenerate("p-norm functional diverges on this cube")
     if norms.min() <= 1e-14:
         raise Degenerate("p-norm functional vanished along a sampled direction")
-    boundary = dirs / norms[:, None]
-    M = khachiyan_mvee_centered(np.concatenate([boundary, -boundary]))
+    # the norms carry quadrature error of relative order tol; the ellipsoid
+    # stops at the same accuracy
+    M = khachiyan_mvee_centered(dirs / norms[:, None], tol=tol)
     return symmetrize(math.sqrt(d) * sqrt_psd(M))
 
 
@@ -512,7 +518,7 @@ def bp_det_check(W: MatrixWeight, p: float, family: CubeFamily, *,
                  stability: bool = False) -> CertReport:
     """Determinant-route reverse Hoelder check via reducing matrices."""
     return _certify("bp-det", family, lambda c: (_bp_det_cube(W, p, c, tol, seed), None),
-                    stability, mode=f"p={p}", details={"p": p, "seed": seed})
+                    stability, mode=f"p={p}", details={"p": p, "seed": seed, "mvee_eps": tol})
 
 
 def nd_check(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL) -> CertReport:
@@ -561,7 +567,7 @@ def apinf_constant(W: MatrixWeight, p: float, family: CubeFamily, *,
                    stability: bool = False) -> CertReport:
     """Determinant condition for the p-th power weight at exponent 2p."""
     return _certify("apinf", family, lambda c: (_apinf_cube(W, p, c, tol, seed), None),
-                    stability, mode=f"p={p}", details={"p": p})
+                    stability, mode=f"p={p}", details={"p": p, "mvee_eps": tol})
 
 
 def rbm_constant(W: MatrixWeight, family: CubeFamily, *, tol: float = CERT_TOL,
@@ -639,7 +645,7 @@ def replay_witness(W: MatrixWeight, report: CertReport, *, tol: float = CERT_TOL
 def _try(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs), None
-    except (DomainError, Degenerate, SingularSample) as exc:
+    except (DomainError, Degenerate, SingularSample, NoConvergence) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

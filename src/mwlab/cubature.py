@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, QuadratureNonConvergence
+from .errors import (ConfigError, DomainError, NoConvergence,
+                     QuadratureNonConvergence)
 from .weights import MatrixWeight, cube_moments, symmetrize
 
 QUAD_TOL = 1e-6
@@ -512,28 +513,52 @@ class CubeFamily:
 # minimum-volume ellipsoids
 # ---------------------------------------------------------------------------
 
-def khachiyan_mvee_centered(points: np.ndarray, tol: float = 1e-6,
+def _core_set(P: np.ndarray) -> list:
+    """d rows of P chosen by successive orthogonal maximisation: each one
+    maximises |p^T b| for a direction b orthogonal to the rows already chosen
+    (Kumar & Yildirim, J. Optim. Theory Appl. 126, 2005)."""
+    d = P.shape[1]
+    Q = np.zeros((d, 0))
+    picks = []
+    for _ in range(d):
+        C = np.eye(d) - Q @ Q.T
+        b = C[:, int(np.argmax(np.linalg.norm(C, axis=0)))]
+        j = int(np.argmax(np.abs(P @ b)))
+        q = C @ P[j]
+        Q = np.column_stack([Q, q / np.linalg.norm(q)])
+        picks.append(j)
+    return picks
+
+
+def khachiyan_mvee_centered(points: np.ndarray, tol: float,
                             max_iter: int = 100000) -> np.ndarray:
     """Minimum-volume origin-centered ellipsoid {e : e^T M e <= 1} over +-points.
 
-    Khachiyan's simplex iteration with Wolfe away steps.  Convergence is
-    linear, and the 1e-6 containment tolerance costs about 10.7k iterations
-    per call on the certifier sweeps of the power-13 weight.  Returns M.
+    The ellipsoid depends on each point p only through p p^T, so a row stands
+    for itself and its negative: pass one row per pair.  Khachiyan's simplex
+    iteration with Wolfe away steps (Todd & Yildirim, Discrete Appl. Math.
+    155, 2007), started from a core set of d rows, stops once every
+    kappa_i = p_i^T X^-1 p_i is at most d (1 + tol).  The volume of the
+    result is then within (1 + tol)^(d/2) of the minimum, so ``tol`` is the
+    relative accuracy the points themselves carry.  M is scaled by
+    1 / max_i p_i^T M p_i, so every point lies inside to rounding.  Reaching
+    ``max_iter`` raises :class:`NoConvergence`.  Returns M.
     """
     P = np.asarray(points, dtype=float)
     m, d = P.shape
-    u = np.full(m, 1.0 / m)
+    u = np.zeros(m)
+    u[_core_set(P)] = 1.0 / d
     for _ in range(max_iter):
         X = P.T @ (P * u[:, None])
         Xi = np.linalg.inv(X)
         kappa = np.einsum("mi,ij,mj->m", P, Xi, P)
         j_add = int(np.argmax(kappa))
         k_add = kappa[j_add]
+        if k_add <= d * (1.0 + tol):
+            return Xi / k_add
         support = u > 1e-14
         j_away = int(np.argmin(np.where(support, kappa, np.inf)))
         k_away = kappa[j_away]
-        if k_add <= d * (1.0 + tol):
-            break
         if k_add - d >= d - k_away:
             step = (k_add - d) / (d * (k_add - 1.0))
             u *= (1.0 - step)
@@ -543,8 +568,8 @@ def khachiyan_mvee_centered(points: np.ndarray, tol: float = 1e-6,
             step = min(step, u[j_away] / (1.0 - u[j_away]))
             u *= (1.0 + step)
             u[j_away] -= step
-    X = P.T @ (P * u[:, None])
-    return np.linalg.inv(X) / d
+    raise NoConvergence(f"MVEE reached max_iter={max_iter} at max kappa/d - 1 = "
+                        f"{k_add / d - 1.0:.3g} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ class TestReducingMatrix:
         calls = []
         mvee = cf.khachiyan_mvee_centered
         monkeypatch.setattr(cf, "khachiyan_mvee_centered",
-                            lambda P: calls.append(1) or mvee(P))
+                            lambda P, tol: calls.append(1) or mvee(P, tol))
         Q = cb.Cube(center=np.zeros(3), r=1.0)
         with cf._shared_reducing_matrices():
             R = cf.reducing_matrix_qform(identity2, Q, 2.0)

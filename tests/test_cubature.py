@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mwlab import certify as cf
 from mwlab import cubature as cb
 from mwlab import weights as mw
-from mwlab.errors import ConfigError, DomainError, QuadratureNonConvergence
+from mwlab.errors import (ConfigError, DomainError, NoConvergence,
+                          QuadratureNonConvergence)
 
 
 def cube(center, r):
@@ -144,6 +146,86 @@ class TestDeterminantLemmas:
     def test_hadamard_checks_orthonormality(self):
         with pytest.raises(ConfigError):
             cb.check_hadamard(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+class TestMVEE:
+    """khachiyan_mvee_centered(P, eps) stops at max kappa <= d (1 + eps): the
+    volume det(M)^(-1/2) of its ellipsoid is within (1 + eps)^(d/2) of the
+    minimum, and every point lies inside."""
+
+    EPS = cf.CERT_TOL
+    CUBE = cb.Cube(center=np.array([2.0, 1.0, 0.0]), r=1.0)
+    FAM = cb.CubeFamily(generator="random", box=4.0, count=2, r_min=1.0, r_max=2.0)
+
+    @pytest.fixture(scope="class")
+    def boundaries(self, rank_one, power13, diag_poly):
+        """The points certify hands the MVEE for each weight's reducing matrix."""
+        seen = {}
+        real = cb.khachiyan_mvee_centered
+
+        def capture(P, tol):
+            seen[name] = P
+            return real(P, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cf, "khachiyan_mvee_centered", capture)
+            for name, W in (("rank_one", rank_one), ("power13", power13),
+                            ("diag_poly", diag_poly)):
+                cf.reducing_matrix_qform(W, self.CUBE, 2.0)
+        return seen
+
+    @staticmethod
+    def volume_ratio(M, M_ref):
+        """vol(M) / vol(M_ref) of the ellipsoids {e : e^T M e <= 1}."""
+        return float(np.sqrt(np.linalg.det(M_ref) / np.linalg.det(M)))
+
+    def test_every_point_inside(self, boundaries):
+        for P in boundaries.values():
+            M = cb.khachiyan_mvee_centered(P, self.EPS)
+            assert np.einsum("mi,ij,mj->m", P, M, P).max() <= 1.0 + 1e-12
+
+    def test_volume_within_eps_of_tight_solve(self, boundaries):
+        for P in boundaries.values():
+            d = P.shape[1]
+            ratio = self.volume_ratio(cb.khachiyan_mvee_centered(P, self.EPS),
+                                      cb.khachiyan_mvee_centered(P, 1e-10))
+            assert 1.0 - 1e-9 <= ratio <= (1.0 + self.EPS) ** (d / 2)
+
+    def test_unsigned_points_match_signed(self, boundaries):
+        for P in boundaries.values():
+            d = P.shape[1]
+            ratio = self.volume_ratio(cb.khachiyan_mvee_centered(P, self.EPS),
+                                      cb.khachiyan_mvee_centered(np.concatenate([P, -P]),
+                                                                 self.EPS))
+            bound = (1.0 + self.EPS) ** (d / 2)
+            assert 1.0 / bound <= ratio <= bound
+
+    def test_core_set_start_is_exact_on_the_circle(self):
+        # the core set is the two axes, whose ellipsoid is already the unit
+        # disc, so the first stopping check ends the iteration
+        t = np.linspace(0.0, np.pi, 13)
+        P = np.stack([np.cos(t), np.sin(t)], axis=1)
+        M = cb.khachiyan_mvee_centered(P, self.EPS, max_iter=1)
+        assert np.allclose(M, np.eye(2), rtol=0.0, atol=1e-15)
+
+    def test_cap_raises(self, boundaries):
+        with pytest.raises(NoConvergence, match="kappa/d - 1"):
+            cb.khachiyan_mvee_centered(boundaries["diag_poly"], self.EPS, max_iter=3)
+
+    def test_cap_is_recorded_by_cross_checks(self, identity2, monkeypatch):
+        def capped(P, tol):
+            raise NoConvergence("MVEE reached max_iter")
+
+        monkeypatch.setattr(cf, "khachiyan_mvee_centered", capped)
+        res = cf.cross_checks(identity2, 2.0, self.FAM)
+        for name in ("bp_det", "apinf"):
+            assert res["reports"][name] is None
+            assert res["errors"][name].startswith("NoConvergence: ")
+
+    def test_eps_is_recorded(self, identity2):
+        for rep in (cf.bp_det_check(identity2, 2.0, self.FAM),
+                    cf.apinf_constant(identity2, 2.0, self.FAM)):
+            assert rep.details["mvee_eps"] == self.EPS
 
 
 class TestGrowthAndDoubling:
