@@ -2,7 +2,7 @@
 """Run the reference invocations of the lab and check that their outputs
 stay byte for byte the same.
 
-The reference set is the 17 CLI bundles below and two ``cross_checks``
+The reference set is the 18 CLI bundles below and two ``cross_checks``
 dumps (power-13 and rank-one on the fixed families of the ``certify-quad``
 benchmark workload).  Every run is its own subprocess with BLAS at one
 thread, started inside the output root with a relative ``--out``.
@@ -61,6 +61,7 @@ INVOCATIONS = (
     ("fp_identity", ["fp", "--weight", "identity", "--grid", "1.0,6", "--form", "norm",
                      "--count", "2"]),
     ("poincare_identity", ["poincare", "--weight", "identity", "--cube", "0,0,0,1"]),
+    ("poincare_power13", ["poincare", "--weight", "power-13", "--cube", "1,0.5,0,1"]),
     ("counterexample", ["counterexample", "--R", "5,10"]),
     *((f"cross_{w}", ["certify", "--class", "cross", "--weight", w,
                       "--family", _RANDOM_FAMILY])

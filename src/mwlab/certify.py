@@ -44,7 +44,7 @@ from .errors import (ConfigError, Degenerate, DomainError, NoConvergence,
 from .ineqlab import _to_jsonable
 from .weights import (MatrixWeight, cube_moments, det_radial_poly,
                       dominant_entry_poly, extreme_eigvalsh, inv_psd, sqrt_psd,
-                      symmetrize, TOL_EIG)
+                      sqrt_sandwich, symmetrize, TOL_EIG)
 
 CERT_TOL = 1e-4          # quadrature tolerance inside certifier sweeps
 CERT_MAX_LEVEL = 5       # refinement cap for certifier quadrature
@@ -216,11 +216,11 @@ def _directional_p_integrals(W: MatrixWeight, cube: Cube, dirs: np.ndarray,
     polynomials and p is an integer; adaptive quadrature otherwise.
     """
     if float(p).is_integer() and p >= 1:
-        polys = [W.qform_radial_poly(e) for e in dirs]
-        if all(q is not None for q in polys):
-            powed = [_poly_pow(np.asarray(q, dtype=float), int(p)) for q in polys]
-            mom = cube_moments(cube.center, cube.r, max(len(c) for c in powed))[0]
-            vals = np.array([float(np.dot(c, mom[: len(c)])) for c in powed])
+        polys = W.qform_radial_poly(dirs)
+        if polys is not None:
+            powed = [_poly_pow(q, int(p)) for q in polys]
+            mom = cube_moments(cube.center, cube.r, len(powed[0]))[0]
+            vals = np.array([float(np.dot(c, mom)) for c in powed])
             return vals / cube.volume
 
     def fn(X):
@@ -406,7 +406,7 @@ def _ainf_cube(W: MatrixWeight, cube: Cube, eps_list: Sequence[float],
             f"{100 * frac:.1f}% of in-cube samples are numerically singular")
     # s(x) = largest delta with V(x) >= delta * avg, via the generalized
     # eigenvalue; equals 1/|avg^(1/2) V(x)^(-1/2)|^2 at invertible samples
-    sand = np.einsum("ij,mjk,kl->mil", root_inv, vals, root_inv)
+    sand = root_inv @ vals @ root_inv
     s = np.clip(np.linalg.eigvalsh(sand)[:, 0], 0.0, None)
     deltas = {float(e): float(np.quantile(s, float(e), method="lower"))
               for e in eps_list}
@@ -433,13 +433,9 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> Optional[float]:
         return None
     integ = avg * cube.volume
     B = inv_psd(integ)
-
-    def fn(X):
-        roots = sqrt_psd(W.eval_many(X))
-        return np.einsum("mij,jk,mkl->mil", roots, B, roots)
-
-    total = adaptive_integrate(fn, cube, singular=W.singular_at_origin,
-                               tol=tol, max_level=CERT_MAX_LEVEL).value
+    total = adaptive_integrate(lambda X: sqrt_sandwich(W.eval_many(X), B), cube,
+                               singular=W.singular_at_origin, tol=tol,
+                               max_level=CERT_MAX_LEVEL).value
     return float(np.linalg.eigvalsh(symmetrize(total))[0])
 
 
@@ -447,13 +443,29 @@ def _nc_cube(W: MatrixWeight, cube: Cube, tol: float) -> Optional[float]:
 # sweeps
 # ---------------------------------------------------------------------------
 
+WITNESS_RTOL = 1e-12    # scores this close to the extreme tie for the witness
+
+
+def _witness_index(scores: np.ndarray, min_type: bool) -> int:
+    """The lowest index whose score is within ``WITNESS_RTOL`` relative of the
+    max (the min with ``min_type``).  Congruent cubes tie mathematically, so
+    their last bits must not pick the witness; an infinite or nan extreme
+    ties only with equal values, and its first occurrence is taken."""
+    i = int(np.argmin(scores) if min_type else np.argmax(scores))
+    ext = scores[i]
+    if not np.isfinite(ext):
+        return i
+    return int(np.argmax(np.abs(scores - ext) <= WITNESS_RTOL * abs(ext)))
+
+
 def _certify(class_name: str, family: CubeFamily, per_cube: Callable[[Cube], tuple],
              stability: bool, *, min_type: bool = False, mode: str = "",
              details: Optional[dict] = None,
              summary: Optional[Callable] = None) -> CertReport:
     """One sweep: ``per_cube(cube) -> (score, extra)`` runs once on each cube.
 
-    The estimate is the max score (the min with ``min_type``).  The sweep
+    The estimate is the max score (the min with ``min_type``), read off the
+    witness cube that :func:`_witness_index` picks among near-ties.  The sweep
     covers ``family``, or with ``stability`` its second refinement, whose cube
     list starts with the cubes of ``family.refine()`` and of ``family``, so
     the three nested estimates of the stability verdict are reductions of
@@ -468,9 +480,8 @@ def _certify(class_name: str, family: CubeFamily, per_cube: Callable[[Cube], tup
     cubes = fams[-1].cubes()
     outs = [per_cube(c) for c in cubes]
     arr = np.asarray([score for score, _ in outs], dtype=float)
-    pick = np.argmin if min_type else np.argmax
     sizes = [len(fam.cubes()) for fam in fams[:-1]] + [len(cubes)]
-    worst = [int(pick(arr[:k])) for k in sizes]
+    worst = [_witness_index(arr[:k], min_type) for k in sizes]
     estimates = [float(arr[i]) for i in worst]
     est = estimates[0]
     base = outs[:sizes[0]]
@@ -602,7 +613,7 @@ def nc_constant(W: MatrixWeight, centers: Optional[Sequence] = None,
     raw = [_nc_cube(W, c, tol) for c in cubes]
     vals = [0.0 if v is None else v for v in raw]
     arr = np.asarray(vals)
-    idx = int(np.argmin(arr))
+    idx = _witness_index(arr, True)
     worst = cubes[idx]
     return CertReport(
         class_name="nc", constant_estimate=float(arr[idx]), family=fam_desc,

@@ -543,15 +543,19 @@ def khachiyan_mvee_centered(points: np.ndarray, tol: float,
     relative accuracy the points themselves carry.  M is scaled by
     1 / max_i p_i^T M p_i, so every point lies inside to rounding.  Reaching
     ``max_iter`` raises :class:`NoConvergence`.  Returns M.
+
+    Both products of an iteration are linear in p p^T, so the rows
+    q_i = vec(p_i p_i^T) are formed once: X = sum_i u_i p_i p_i^T is u @ Q
+    reshaped to d x d, and kappa = Q @ vec(X^-1), two matrix-vector products.
     """
     P = np.asarray(points, dtype=float)
     m, d = P.shape
+    Q = (P[:, :, None] * P[:, None, :]).reshape(m, d * d)
     u = np.zeros(m)
     u[_core_set(P)] = 1.0 / d
     for _ in range(max_iter):
-        X = P.T @ (P * u[:, None])
-        Xi = np.linalg.inv(X)
-        kappa = np.einsum("mi,ij,mj->m", P, Xi, P)
+        Xi = np.linalg.inv((u @ Q).reshape(d, d))
+        kappa = Q @ Xi.ravel()
         j_add = int(np.argmax(kappa))
         k_add = kappa[j_add]
         if k_add <= d * (1.0 + tol):

@@ -23,7 +23,7 @@ from .cubature import Cube, adaptive_integrate, average
 from .errors import ConfigError, Degenerate, InsufficientSamples
 from .pde import GreenField
 from .weights import (MatrixWeight, NormDiagWeight, RankOneRadialWeight,
-                      inv_psd, sqrt_psd)
+                      inv_psd, sqrt_sandwich)
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +70,8 @@ def poincare_ratio(W: MatrixWeight, Q: Cube, u: TestFunction,
     except Exception as exc:
         raise Degenerate(f"cube integral of the weight is singular: {exc}") from exc
 
-    def sandwich(X):
-        roots = sqrt_psd(W.eval_many(X))
-        return np.einsum("mij,jk,mkl->mil", roots, B, roots)
-
     def moments(X):
-        S = sandwich(X)
+        S = sqrt_sandwich(W.eval_many(X), B)
         uy = u.u(X)
         Su = np.einsum("mij,mj->mi", S, uy)
         c = np.einsum("mi,mi->m", uy, Su)

@@ -17,6 +17,13 @@ Other exponents go through :func:`mwlab.cubature.power_cube_integrals`.
 Exact integrals are a fast path; the quadrature route in
 :mod:`mwlab.cubature` remains the generic contract and the two are tested
 against each other.
+
+The PSD algebra works on stacks of matrices.  For d = 2 it has no batched
+``eigh`` in its hot paths: :func:`extreme_eigvalsh` reads the LAPACK-exact
+port :func:`_eig2`, and :func:`sqrt_psd` builds the root in closed form,
+(A + sqrt(l1 l2) I) / (sqrt(l1) + sqrt(l2)), from its eigenvalues, with
+eigennoise below zero clamped.  :func:`sqrt_sandwich` is the one
+V^(1/2) B V^(1/2) kernel of the certifiers and the Poincare harness.
 """
 
 from __future__ import annotations
@@ -70,10 +77,52 @@ def is_sym_psd(m: np.ndarray, tol: float = TOL_EIG) -> bool:
 
 
 def sqrt_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
-    """Symmetric PSD square root S with S @ S = m, of one matrix or an (M, d, d) stack."""
-    w, v = _clamped_eigh(m, tol)
-    s = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return symmetrize(s)
+    """Symmetric PSD square root S with S @ S = m, of one matrix or an (M, d, d) stack.
+
+    Raises NotPSD when lambda_min < -tol * max|lambda|; eigenvalues above that
+    and below zero are clamped to zero.  For d = 2 the root is closed-form
+    (Higham, *Functions of Matrices*, 2008, sec. 6):
+
+        sqrt(A) = (A + sqrt(l1 l2) I) / (sqrt(l1) + sqrt(l2)),
+
+    with l1 >= l2 from :func:`_eig2`.  A row with clamped l2 < 0 is rebuilt as
+    sqrt(l1) (A - l2 I) / (l1 - l2), the root of l1 times its top eigenprojector;
+    the zero matrix gives zero.  Other d go through ``eigh``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[-1] != 2:
+        w, v = _clamped_eigh(m, tol)
+        s = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+        return symmetrize(s)
+    one = m.ndim == 2
+    S = symmetrize(m[None] if one else m)   # fresh: the root is built in place
+    lo, hi = _eig2(S, False), _eig2(S, True)
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    if np.any(lo < -tol * np.maximum(scale, 1e-300)):
+        raise NotPSD(
+            f"matrix is not numerically PSD: lambda_min={lo.min():.3e}, "
+            f"lambda_max={scale.max():.3e}"
+        )
+    noisy = lo < 0.0
+    lo_n, hi_n = lo[noisy], hi[noisy]
+    np.maximum(lo, 0.0, out=lo)
+    rl, rh = np.sqrt(lo, out=lo), np.sqrt(hi, out=hi)
+    f = rl + rh
+    np.divide(1.0, f, out=f, where=f > 0.0)     # 0 stays 0: the zero matrix
+    c = np.multiply(rl, rh, out=rl)
+    c[noisy] = -lo_n
+    f[noisy] = np.sqrt(hi_n) / (hi_n - lo_n)
+    S[..., 0, 0] += c
+    S[..., 1, 1] += c
+    S *= f[..., None, None]
+    return S[0] if one else S
+
+
+def sqrt_sandwich(m: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """m^(1/2) B m^(1/2) for each PSD matrix of an (M, d, d) stack and one
+    d x d matrix B: two stacked matmuls around :func:`sqrt_psd`."""
+    roots = sqrt_psd(m)
+    return roots @ B @ roots
 
 
 def inv_psd(m: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
@@ -387,12 +436,14 @@ class MatrixWeight:
         return terms_cube_integrals(terms, centers, np.full(centers.shape[0], float(r)))
 
     def qform_radial_poly(self, e: np.ndarray) -> Optional[np.ndarray]:
-        """<W(x) e, e> as a polynomial in s = |x|^2, when the descriptor allows."""
+        """<W(x) e, e> as a polynomial in s = |x|^2, when the descriptor allows;
+        for a (k, d) stack of directions, shape (k, K) from one table lookup."""
         table = self.radial_table()
         if table is None:
             return None
         e = np.asarray(e, dtype=float)
-        return np.einsum("i,j,ijk->k", e, e, table)
+        q = np.array([np.einsum("i,j,ijk->k", v, v, table) for v in np.atleast_2d(e)])
+        return q if e.ndim == 2 else q[0]
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -431,7 +482,8 @@ class ConstantWeight(MatrixWeight):
 
     def qform_radial_poly(self, e):
         e = np.asarray(e, dtype=float)
-        return np.array([float(e @ self.mat @ e)])
+        q = np.array([[float(v @ self.mat @ v)] for v in np.atleast_2d(e)])
+        return q if e.ndim == 2 else q[0]
 
     def power_terms(self):
         return np.zeros(1), self.mat[:, :, None]

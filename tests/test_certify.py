@@ -373,6 +373,51 @@ class TestOneSweep:
         assert len(set(seen)) == len(seen)
 
 
+class TestWitnessTies:
+    """Scores within 1e-12 relative of the extreme tie; the lowest index wins
+    and its score is the estimate."""
+
+    FAM = cb.CubeFamily(generator="random", box=4.0, count=4, r_min=1.0, r_max=2.0)
+
+    def _sweep(self, scores, min_type, stability=False):
+        fam = self.FAM.refine().refine() if stability else self.FAM
+        index = {c.key(): i for i, c in enumerate(fam.cubes())}
+        return cf._certify("t", self.FAM, lambda c: (scores[index[c.key()]], None),
+                           stability, min_type=min_type)
+
+    def test_last_bit_perturbations_keep_the_witness(self):
+        for min_type in (False, True):
+            n = len(self.FAM.refine().refine().cubes())
+            base = np.full(n, 1.0 if min_type else 2.0)
+            base[::3] = 1.5                 # non-extreme scores between the ties
+            picked = set()
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                scores = base * (1.0 + rng.choice([-1e-15, 0.0, 1e-15], size=n))
+                rep = self._sweep(scores, min_type, stability=True)
+                assert rep.witness["value"] == scores[1]
+                picked.add((tuple(rep.witness["center"]), rep.witness["r"]))
+                assert rep.details["stability_estimates"] == [scores[1]] * 3
+            assert len(picked) == 1
+
+    def test_estimate_is_the_witness_score(self):
+        scores = [1.0, 3.0, 3.0 * (1 + 5e-13), 3.0 * (1 - 5e-13)]
+        rep = self._sweep(scores, False)
+        assert rep.constant_estimate == rep.witness["value"] == 3.0
+        assert rep.witness["center"] == self.FAM.cubes()[1].center.tolist()
+        # a gap wider than the tie tolerance is no tie
+        rep = self._sweep([1.0, 3.0, 3.0 * (1 + 2e-12), 1.0], False)
+        assert rep.constant_estimate == 3.0 * (1 + 2e-12)
+
+    def test_infinite_scores_tie_only_with_equal_values(self):
+        rep = self._sweep([1e300, 1.0, math.inf, math.inf], False)
+        assert rep.constant_estimate == math.inf
+        assert rep.witness["center"] == self.FAM.cubes()[2].center.tolist()
+        rep = self._sweep([1.0, 1e-320, 0.0, 0.0], True)
+        assert rep.constant_estimate == 0.0
+        assert rep.witness["center"] == self.FAM.cubes()[2].center.tolist()
+
+
 class TestReportMechanics:
     def test_witness_replay(self, rank_one, diag_poly, small_family):
         for W in (rank_one, diag_poly):

@@ -200,6 +200,40 @@ class TestMVEE:
             bound = (1.0 + self.EPS) ** (d / 2)
             assert 1.0 / bound <= ratio <= bound
 
+    @staticmethod
+    def einsum_mvee(P, tol):
+        """The same iteration with X = P^T diag(u) P and kappa by a three-operand
+        einsum: the reference for the vec(p p^T) products."""
+        m, d = P.shape
+        u = np.zeros(m)
+        u[cb._core_set(P)] = 1.0 / d
+        while True:
+            Xi = np.linalg.inv(P.T @ (P * u[:, None]))
+            kappa = np.einsum("mi,ij,mj->m", P, Xi, P)
+            Q = (P[:, :, None] * P[:, None, :]).reshape(m, d * d)
+            assert np.allclose(Q @ Xi.ravel(), kappa, rtol=1e-13, atol=0.0)
+            j_add = int(np.argmax(kappa))
+            k_add = kappa[j_add]
+            if k_add <= d * (1.0 + tol):
+                return Xi / k_add
+            j_away = int(np.argmin(np.where(u > 1e-14, kappa, np.inf)))
+            k_away = kappa[j_away]
+            if k_add - d >= d - k_away:
+                step = (k_add - d) / (d * (k_add - 1.0))
+                u *= (1.0 - step)
+                u[j_add] += step
+            else:
+                step = (d - k_away) / (d * (k_away - 1.0))
+                step = min(step, u[j_away] / (1.0 - u[j_away]))
+                u *= (1.0 + step)
+                u[j_away] -= step
+
+    def test_vec_outer_products_match_einsum_iteration(self, boundaries):
+        for P in boundaries.values():
+            M = cb.khachiyan_mvee_centered(P, self.EPS)
+            ref = self.einsum_mvee(P, self.EPS)
+            assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_core_set_start_is_exact_on_the_circle(self):
         # the core set is the two axes, whose ellipsoid is already the unit
         # disc, so the first stopping check ends the iteration

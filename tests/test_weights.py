@@ -78,6 +78,85 @@ class TestSqrtPSD:
         rel = np.linalg.norm(S @ S - M) / max(np.linalg.norm(M), 1e-300)
         assert rel <= 1e-12
 
+    # d = 2 takes the closed form; the eigh reconstruction is its reference
+
+    @staticmethod
+    def eigh_root(m):
+        w, v = mw._clamped_eigh(m)
+        return mw.symmetrize((v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+    def test_d2_matches_eigh_reconstruction(self):
+        B = np.random.default_rng(1).standard_normal((10000, 2, 2))
+        A = B @ np.swapaxes(B, 1, 2)
+        S = mw.sqrt_psd(A)
+        lam_max = np.linalg.eigvalsh(A)[:, -1]
+        err = np.abs(S - self.eigh_root(A)).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * lam_max)
+        assert np.array_equal(S, np.swapaxes(S, 1, 2))
+
+    def test_d2_exact_rank_one(self):
+        # v v^T with v = (1, |x|^2): the eigenvalue 0 comes out as noise
+        t = np.linspace(0.0, 10.0, 101)
+        v = np.stack([np.ones_like(t), t * t], axis=1)
+        V = v[:, :, None] * v[:, None, :]
+        S = mw.sqrt_psd(V)
+        norm = np.linalg.norm(V, axis=(1, 2))
+        assert np.all(np.abs(S @ S - V).max(axis=(1, 2)) <= 1e-14 * norm)
+        lam = np.linalg.eigvalsh(S)
+        assert np.all(lam[:, 0] >= -mw.TOL_EIG * lam[:, -1])
+
+    def test_d2_stack_mixes_clamped_and_ordinary_rows(self):
+        noise = np.diag([1.0, -1e-14])
+        A = np.stack([np.diag([4.0, 9.0]), noise, np.array([[2.0, 1.0], [1.0, 2.0]]),
+                      np.array([[1.0, 1.0], [1.0, 1.0 - 1e-13]])])
+        S = mw.sqrt_psd(A)
+        assert S[1, 1, 1] == 0.0 and S[1, 0, 0] == 1.0
+        assert np.allclose(S[0], np.diag([2.0, 3.0]), rtol=1e-15, atol=0.0)
+        for k in (0, 2, 3):
+            assert np.allclose(S[k], self.eigh_root(A[k]), rtol=0.0, atol=1e-14)
+        assert np.linalg.eigvalsh(S)[:, 0].min() >= 0.0
+
+    def test_d2_zero_matrix(self):
+        assert np.array_equal(mw.sqrt_psd(np.zeros((2, 2))), np.zeros((2, 2)))
+        S = mw.sqrt_psd(np.stack([np.zeros((2, 2)), np.eye(2)]))
+        assert np.array_equal(S, np.stack([np.zeros((2, 2)), np.eye(2)]))
+
+    def test_d2_one_matrix_matches_stack(self):
+        B = np.random.default_rng(2).standard_normal((50, 2, 2))
+        A = B @ np.swapaxes(B, 1, 2)
+        S = mw.sqrt_psd(A)
+        for k in range(len(A)):
+            assert np.array_equal(mw.sqrt_psd(A[k]), S[k])
+
+    def test_d2_rejects_what_eigh_rejects(self):
+        R = np.array([[0.6, -0.8], [0.8, 0.6]])
+        cases = [np.diag([1.0, lo]) for lo in (-1.0, -2e-10, -0.5e-10, -1e-14, 0.0)]
+        cases += [R @ c @ R.T for c in cases]
+        B = np.random.default_rng(3).standard_normal((20, 2, 2))
+        cases += list(B + np.swapaxes(B, 1, 2))     # symmetric, often indefinite
+        raised = 0
+        for m in cases:
+            try:
+                mw._clamped_eigh(m)
+            except NotPSD:
+                raised += 1
+                with pytest.raises(NotPSD):
+                    mw.sqrt_psd(m)
+            else:
+                mw.sqrt_psd(m)
+        assert 0 < raised < len(cases)
+
+    def test_sandwich_matches_three_operand_einsum(self, power13, rank_one):
+        X = random_points(np.random.default_rng(4), 500)
+        B = np.array([[2.0, -0.3], [-0.3, 0.5]])
+        for W in (power13, rank_one):
+            V = W.eval_many(X)
+            roots = mw.sqrt_psd(V)
+            ref = np.einsum("mij,jk,mkl->mil", roots, B, roots)
+            got = mw.sqrt_sandwich(V, B)
+            scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
 
 class TestCatalogInvariants:
     def _catalog(self, identity2, rank_one, diag_poly, power13):
